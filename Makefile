@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify verify-race chaos-smoke fuzz-smoke bench bench-check loadcheck fleetcheck
+.PHONY: build test verify verify-race perfbench-check chaos-smoke fuzz-smoke bench bench-check loadcheck fleetcheck
 
 build:
 	$(GO) build ./...
@@ -8,17 +8,25 @@ build:
 test:
 	$(GO) test ./...
 
-# Tier-1 verification plus the race, chaos and fuzz gates — the target CI
-# runs.
-verify: build test verify-race chaos-smoke fuzz-smoke
+# Tier-1 verification plus the race, benchmark-module, chaos and fuzz
+# gates — the target CI runs.
+verify: build test verify-race perfbench-check chaos-smoke fuzz-smoke
 
 # Race-detector pass over the concurrent packages: the simulator worker
 # pool and checkpointing (internal/channel), the adaptive retrieve path
-# (internal/store), the journal (internal/durable), and the metrics
-# registry / stage timer (internal/obs).
+# (internal/store), the journal (internal/durable), the metrics registry /
+# stage timer (internal/obs), the work-stealing reconstruction pool
+# (internal/recon) and the profiling workers (internal/profile).
 verify-race:
 	$(GO) vet ./...
-	$(GO) test -race ./internal/channel/... ./internal/store/... ./internal/durable/... ./internal/obs/...
+	$(GO) test -race ./internal/channel/... ./internal/store/... ./internal/durable/... ./internal/obs/... ./internal/recon/... ./internal/profile/...
+
+# The end-to-end benchmark is a module of its own (perfbench/), so the root
+# build and tests never compile it; its serve checks drive server.New and
+# internal/client, so build, vet and test it here under the race detector.
+perfbench-check:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test -race ./...
 
 # Chaos smoke: the dnasimd job-server drills — injected panics, stalls,
 # overload shedding, breaker trips and the drain/resume cycle — plus the

@@ -229,22 +229,17 @@ func runJSONBench(path string, seed uint64) error {
 	return nil
 }
 
-// loadBaseline reads a BENCH_sim.json, accepting both the current array
-// schema and the original single-object schema.
+// loadBaseline reads a BENCH_sim.json: an array of workload results.
 func loadBaseline(path string) ([]benchResult, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
 	var list []benchResult
-	if err := json.Unmarshal(data, &list); err == nil {
-		return list, nil
+	if err := json.Unmarshal(data, &list); err != nil {
+		return nil, fmt.Errorf("%s: not a benchmark baseline array: %w", path, err)
 	}
-	var one benchResult
-	if err := json.Unmarshal(data, &one); err == nil && one.Name != "" {
-		return []benchResult{one}, nil
-	}
-	return nil, fmt.Errorf("%s: not a benchmark baseline (array or single object)", path)
+	return list, nil
 }
 
 // allocGrace is the absolute allocs/op slack the gate always allows: ±a

@@ -118,11 +118,7 @@ func main() {
 		}
 		var nodeCfgs []fleet.NodeConfig
 		for i := 0; i < *fleetNodes; i++ {
-			wsrv := server.New(server.Config{
-				QueueCapacity: *queueCap,
-				Workers:       *workers,
-				Logf:          func(string, ...any) {},
-			})
+			wsrv := server.New(server.Config{QueueCapacity: *queueCap, Workers: *workers})
 			wln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
 				fail(err)
@@ -162,11 +158,7 @@ func main() {
 		baseURL = "http://" + ln.Addr().String()
 		metrics = func() (map[string]float64, error) { return coord.Registry().Snapshot(), nil }
 	default:
-		srv := server.New(server.Config{
-			QueueCapacity: *queueCap,
-			Workers:       *workers,
-			Logf:          func(string, ...any) {},
-		})
+		srv := server.New(server.Config{QueueCapacity: *queueCap, Workers: *workers})
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			fail(err)

@@ -39,7 +39,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
@@ -81,15 +81,14 @@ func main() {
 	)
 	flag.Parse()
 
-	logger := log.New(os.Stderr, "dnasimd: ", log.LstdFlags)
-	slogger := logOpts.Logger("dnasimd")
-
+	logger := logOpts.Logger("dnasimd")
+	var svc service
 	if *coordinator {
 		nodeList, err := parseNodes(*nodes)
 		if err != nil {
-			log.Fatalf("dnasimd: %v", err)
+			fatal(err)
 		}
-		runCoordinator(*addr, fleet.Config{
+		coord, err := fleet.New(fleet.Config{
 			Nodes:            nodeList,
 			ShardClusters:    *shardClusters,
 			MaxShardAttempts: *maxShardAtt,
@@ -101,46 +100,63 @@ func main() {
 			ProbeInterval:    *probeInterval,
 			BreakerThreshold: *brkFails,
 			BreakerCooldown:  *brkCooldown,
-			Logger:           slogger,
-		}, logger, *pprof)
-		return
-	}
-
-	if *dataDir != "" {
-		if err := os.MkdirAll(*dataDir, 0o755); err != nil {
-			log.Fatalf("dnasimd: data dir: %v", err)
+			Logger:           logger,
+		})
+		if err != nil {
+			fatal(err)
 		}
+		svc = coord
+		logger.Info("coordinating", "nodes", *nodes, "shard_clusters", *shardClusters,
+			"hedge_after", *hedgeAfter, "allow_partial", *allowPartial, "data_dir", *coordDataDir)
+	} else {
+		if *dataDir != "" {
+			if err := os.MkdirAll(*dataDir, 0o755); err != nil {
+				fatal(fmt.Errorf("data dir: %w", err))
+			}
+		}
+		svc = server.New(server.Config{
+			QueueCapacity:     *queueCap,
+			Workers:           *workers,
+			DataDir:           *dataDir,
+			MaxAttempts:       *maxAttempts,
+			StallAfter:        *stallAfter,
+			DrainGrace:        *drainGrace,
+			DefaultJobTimeout: *jobTimeout,
+			BreakerThreshold:  *brkFails,
+			BreakerCooldown:   *brkCooldown,
+			Logger:            logger,
+		})
+		logger.Info("serving", "queue", *queueCap, "workers", *workers, "data", *dataDir)
 	}
-	srv := server.New(server.Config{
-		QueueCapacity:     *queueCap,
-		Workers:           *workers,
-		DataDir:           *dataDir,
-		MaxAttempts:       *maxAttempts,
-		StallAfter:        *stallAfter,
-		DrainGrace:        *drainGrace,
-		DefaultJobTimeout: *jobTimeout,
-		BreakerThreshold:  *brkFails,
-		BreakerCooldown:   *brkCooldown,
-		Logf:              logger.Printf,
-		Logger:            slogger,
-	})
+	serve(*addr, svc, *pprof, logger)
+}
 
-	// The server handles everything (including /metrics); pprof, when
-	// enabled, mounts on an outer mux so the server package never links
-	// net/http/pprof into embedders that don't want it.
-	handler := http.Handler(srv)
-	if *pprof {
+// service is what the binary serves: the shared job front end, over either
+// the local worker pool or the fleet coordinator.
+type service interface {
+	http.Handler
+	Drain()
+}
+
+// serve runs svc until a shutdown signal, then drains it. Drain first —
+// admission stops, /readyz flips, in-flight jobs finish, checkpoint, or
+// park in the coordinator's ledger — and only then close the listener, so
+// status and result queries keep working throughout the drain.
+func serve(addr string, svc service, pprof bool, logger *slog.Logger) {
+	// pprof, when enabled, mounts on an outer mux so the server package
+	// never links net/http/pprof into embedders that don't want it.
+	handler := http.Handler(svc)
+	if pprof {
 		outer := http.NewServeMux()
 		obs.RegisterPprof(outer)
-		outer.Handle("/", srv)
+		outer.Handle("/", svc)
 		handler = outer
-		slogger.Info("pprof endpoints enabled", "path", "/debug/pprof/")
+		logger.Info("pprof endpoints enabled", "path", "/debug/pprof/")
 	}
-
-	httpSrv := &http.Server{Addr: *addr, Handler: handler}
+	httpSrv := &http.Server{Addr: addr, Handler: handler}
 	errCh := make(chan error, 1)
 	go func() {
-		logger.Printf("listening on %s (queue=%d workers=%d data=%q)", *addr, *queueCap, *workers, *dataDir)
+		logger.Info("listening", "addr", addr)
 		errCh <- httpSrv.ListenAndServe()
 	}()
 
@@ -148,23 +164,24 @@ func main() {
 	signal.Notify(sigCh, syscall.SIGTERM, os.Interrupt)
 	select {
 	case sig := <-sigCh:
-		logger.Printf("%s: draining", sig)
-		// Drain first — admission stops, /readyz flips, in-flight jobs
-		// finish or checkpoint — and only then close the listener, so
-		// status and result queries keep working throughout the drain.
-		srv.Drain()
+		logger.Info("draining", "signal", sig.String())
+		svc.Drain()
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-			logger.Printf("http shutdown: %v", err)
+			logger.Warn("http shutdown", "error", err)
 		}
-		logger.Printf("drained; exiting")
+		logger.Info("drained; exiting")
 	case err := <-errCh:
 		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintln(os.Stderr, "dnasimd:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 	}
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "dnasimd:", err)
+	os.Exit(1)
 }
 
 // parseNodes parses the -nodes flag: "name=url[,name=url...]".
@@ -181,55 +198,4 @@ func parseNodes(s string) ([]fleet.NodeConfig, error) {
 		out = append(out, fleet.NodeConfig{Name: name, BaseURL: url})
 	}
 	return out, nil
-}
-
-// runCoordinator serves the fleet coordinator until a shutdown signal,
-// then drains: admission stops, in-flight jobs park in their write-ahead
-// ledgers (when -data-dir is set), and a restart on the same -data-dir
-// re-adopts them — collecting shards that finished on workers in the
-// meantime via the spill cache and derived Idempotency-Keys.
-func runCoordinator(addr string, cfg fleet.Config, logger *log.Logger, pprof bool) {
-	coord, err := fleet.New(cfg)
-	if err != nil {
-		log.Fatalf("dnasimd: %v", err)
-	}
-	handler := http.Handler(coord)
-	if pprof {
-		outer := http.NewServeMux()
-		obs.RegisterPprof(outer)
-		outer.Handle("/", coord)
-		handler = outer
-	}
-	httpSrv := &http.Server{Addr: addr, Handler: handler}
-	errCh := make(chan error, 1)
-	go func() {
-		names := make([]string, len(cfg.Nodes))
-		for i, n := range cfg.Nodes {
-			names[i] = n.Name
-		}
-		logger.Printf("coordinating %d node(s) [%s] on %s (shard=%d clusters, hedge=%s, partial=%v)",
-			len(cfg.Nodes), strings.Join(names, " "), addr, cfg.ShardClusters, cfg.HedgeAfter, cfg.AllowPartial)
-		errCh <- httpSrv.ListenAndServe()
-	}()
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, syscall.SIGTERM, os.Interrupt)
-	select {
-	case sig := <-sigCh:
-		logger.Printf("%s: draining coordinator", sig)
-		// Drain, not Close: park in-flight jobs in their ledgers and fsync
-		// them shut, so a restart on the same -data-dir resumes the work.
-		// Status and result queries keep answering until the listener stops.
-		coord.Drain()
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-			logger.Printf("http shutdown: %v", err)
-		}
-	case err := <-errCh:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintln(os.Stderr, "dnasimd:", err)
-			os.Exit(1)
-		}
-	}
 }

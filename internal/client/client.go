@@ -27,7 +27,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math/rand"
 	"net/http"
@@ -209,16 +208,12 @@ func parseRetryAfter(resp *http.Response) int {
 	return sec
 }
 
+// bodyChecksum is the server's response-body hash.
+var bodyChecksum = server.BodyChecksum
+
 // doOnce performs one HTTP exchange under the per-call timeout and decodes
 // a JSON body into out (skipped when out is nil, the raw-bytes path
 // handles its own read). It classifies failures as transient or permanent.
-// bodyChecksum mirrors the server's response-body hash (FNV-64a, hex).
-func bodyChecksum(b []byte) string {
-	h := fnv.New64a()
-	h.Write(b)
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
 func (c *Client) doOnce(ctx context.Context, method, path string, hdr http.Header, body []byte, out any) (*http.Response, []byte, error) {
 	callCtx, cancel := context.WithTimeout(ctx, c.cfg.PerCallTimeout)
 	defer cancel()

@@ -36,7 +36,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"net/http"
 	"path/filepath"
 	"sync"
 	"time"
@@ -104,10 +103,11 @@ type Config struct {
 	Registry *obs.Registry
 }
 
-// Coordinator drives a fleet of worker dnasimd nodes. It implements
-// http.Handler with the same API surface as a single dnasimd instance, so
-// clients (and dnaload) target a coordinator unchanged.
+// Coordinator drives a fleet of worker dnasimd nodes: the shared job
+// server.Frontend over this package's shard scheduler, so clients (and
+// dnaload) target a coordinator exactly like a single dnasimd instance.
 type Coordinator struct {
+	*server.Frontend
 	cfg     Config
 	nodes   []*node
 	cache   *resultCache
@@ -116,24 +116,14 @@ type Coordinator struct {
 	metrics *fleetMetrics
 	slog    *slog.Logger
 
-	mu           sync.Mutex
-	jobs         map[string]*fleetJob
-	idem         map[string]string
-	nextID       int
-	closed       bool
-	phase        server.Phase
-	drainStarted time.Time
+	mu     sync.Mutex
+	runs   map[string]*run
+	closed bool
 
-	stop      chan struct{}
-	probeWG   sync.WaitGroup
-	jobWG     sync.WaitGroup
-	drainOnce sync.Once
-	mux       *http.ServeMux
+	stop    chan struct{}
+	probeWG sync.WaitGroup
+	jobWG   sync.WaitGroup
 }
-
-// phaseRecovering is the coordinator-only boot phase: the ledger is being
-// replayed and admission sheds; it flips to serving before New returns.
-const phaseRecovering = server.Phase("recovering")
 
 // New returns a Coordinator over cfg.Nodes with its probe loop running.
 func New(cfg Config) (*Coordinator, error) {
@@ -184,13 +174,10 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg:   cfg,
 		cache: newResultCache(cfg.CacheCapacity),
 		slog:  cfg.Logger,
-		jobs:  make(map[string]*fleetJob),
-		idem:  make(map[string]string),
-		phase: server.PhaseServing,
+		runs:  make(map[string]*run),
 		stop:  make(chan struct{}),
 	}
 	if cfg.DataDir != "" {
-		c.phase = phaseRecovering
 		var err error
 		if c.ledger, err = openLedgerStore(filepath.Join(cfg.DataDir, "ledger"), cfg.LedgerKeep, c.slog); err != nil {
 			return nil, err
@@ -218,29 +205,25 @@ func New(cfg Config) (*Coordinator, error) {
 		c.spill.writes = c.metrics.spillWrites
 		c.spill.gc = c.metrics.spillGC
 	}
-	c.routes()
+	c.Frontend = server.NewFrontend(c, server.FrontendConfig{
+		IDPrefix: "f", DrainGrace: cfg.DrainGrace, Logger: cfg.Logger, Registry: cfg.Registry,
+	})
 	if c.ledger != nil {
-		// Replay the write-ahead ledger before serving: restore every
-		// journaled job (terminal jobs with their verdicts, in-flight and
-		// completed-but-unfetched jobs by re-adoption), rebind
-		// Idempotency-Keys, and only then flip the phase — so a client
-		// that was mid-poll when the old process died finds its job ID
-		// answering again, never a permanent 404.
+		// Replay the write-ahead ledger before New returns, so before any
+		// listener can serve the coordinator: restore every journaled job
+		// (terminal jobs with their verdicts, in-flight and
+		// completed-but-unfetched jobs by re-adoption) and rebind
+		// Idempotency-Keys — a client that was mid-poll when the old
+		// process died finds its job ID answering again, never a
+		// permanent 404.
 		c.recover()
 	}
-	c.mu.Lock()
-	c.phase = server.PhaseServing
-	c.mu.Unlock()
 	if cfg.ProbeInterval > 0 {
 		c.probeWG.Add(1)
 		go c.probeLoop()
 	}
 	return c, nil
 }
-
-// Registry returns the coordinator's metrics registry (also served from
-// GET /metrics).
-func (c *Coordinator) Registry() *obs.Registry { return c.cfg.Registry }
 
 // Close stops the probe loop. In-flight jobs keep running. For a full
 // shutdown that parks in-flight work for a restart, use Drain.
@@ -259,55 +242,37 @@ func (c *Coordinator) Close() {
 // in its ledger, exactly so the next boot re-adopts it.
 var errDrainStop = errors.New("fleet: coordinator draining; job parks for restart-resume")
 
-// Drain executes the coordinator's graceful shutdown: admission stops
-// (submissions and /readyz shed 503 + Retry-After), in-flight jobs are
-// told to park — their worker calls are canceled, but their ledgers keep
-// them non-terminal so a restart re-adopts them against workers that kept
-// computing — and once every job goroutine has settled (bounded by
-// DrainGrace) the ledger files are fsynced shut. Idempotent.
-func (c *Coordinator) Drain() {
-	c.drainOnce.Do(func() {
-		c.mu.Lock()
-		c.phase = server.PhaseDraining
-		c.drainStarted = time.Now()
-		var live []*fleetJob
-		for _, j := range c.jobs {
-			j.mu.Lock()
-			if !j.state.Terminal() {
-				live = append(live, j)
-			}
-			j.mu.Unlock()
-		}
-		c.mu.Unlock()
-		c.slog.Info("draining", "in_flight", len(live), "grace", c.cfg.DrainGrace)
-		for _, j := range live {
-			j.mu.Lock()
-			cancel := j.cancel
-			j.mu.Unlock()
-			if cancel != nil {
-				cancel(errDrainStop)
-			}
-		}
-		settled := make(chan struct{})
-		go func() { c.jobWG.Wait(); close(settled) }()
-		select {
-		case <-settled:
-		case <-time.After(c.cfg.DrainGrace):
-			c.slog.Warn("drain grace expired with jobs still settling")
-		}
-		c.Close()
-		c.mu.Lock()
-		jobs := c.jobs
-		c.phase = server.PhaseStopped
-		c.mu.Unlock()
-		// Seal every still-open ledger. Terminal jobs already closed
-		// theirs; this catches parked jobs, whose last synced frame is
-		// the re-adoption contract.
-		for _, j := range jobs {
-			j.led.close()
-		}
-		c.slog.Info("drained; ledger sealed")
-	})
+// Quiesce is the coordinator's part of the drain (server.Executor):
+// in-flight jobs are told to park — their worker calls are canceled, but
+// their ledgers keep them non-terminal so a restart re-adopts them against
+// workers that kept computing — and once every job goroutine has settled
+// (bounded by DrainGrace) the probe loop stops and the ledger files are
+// fsynced shut.
+func (c *Coordinator) Quiesce() {
+	c.mu.Lock()
+	runs := make([]*run, 0, len(c.runs))
+	for _, r := range c.runs {
+		runs = append(runs, r)
+	}
+	c.mu.Unlock()
+	for _, r := range runs {
+		r.job.Interrupt(errDrainStop)
+	}
+	settled := make(chan struct{})
+	go func() { c.jobWG.Wait(); close(settled) }()
+	select {
+	case <-settled:
+	case <-time.After(c.cfg.DrainGrace):
+		c.slog.Warn("drain grace expired with jobs still settling")
+	}
+	c.Close()
+	// Seal every still-open ledger. Terminal jobs already closed theirs;
+	// this catches parked jobs, whose last synced frame is the
+	// re-adoption contract.
+	for _, r := range runs {
+		r.led.close()
+	}
+	c.slog.Info("drained; ledger sealed")
 }
 
 // probeLoop refreshes every node's health on a fixed cadence. Probes run

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"hash/fnv"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -52,13 +51,6 @@ func (n *node) probe(ctx context.Context, timeout time.Duration) {
 	n.healthy.Store(n.cli.Ready(pctx) == nil)
 }
 
-// fnv64 hashes a string with FNV-1a.
-func fnv64(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return h.Sum64()
-}
-
 // splitmix64 is the finalizer used to turn (node, shard) into a placement
 // score: a full-avalanche mix, so one shard moving between nodes never
 // correlates with another's placement.
@@ -83,7 +75,7 @@ func rank(nodes []*node, key uint64) []*node {
 	}
 	sc := make([]scored, len(nodes))
 	for i, n := range nodes {
-		sc[i] = scored{n: n, s: splitmix64(fnv64(n.name) ^ key)}
+		sc[i] = scored{n: n, s: splitmix64(server.Hash64([]byte(n.name)) ^ key)}
 	}
 	sort.Slice(sc, func(i, j int) bool {
 		if sc[i].s != sc[j].s {

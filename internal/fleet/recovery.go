@@ -49,31 +49,23 @@ func (c *Coordinator) recover() {
 	}
 }
 
-// adoptRecord turns one replayed ledger record back into a live job table
-// entry. Reports whether the job was re-adopted (re-run) as opposed to
-// restored in a terminal state.
+// adoptRecord turns one replayed ledger record back into a live job under
+// its old ID and Idempotency-Key. Reports whether the job was re-adopted
+// (re-run) as opposed to restored in a terminal state. Recovery runs
+// before the coordinator is reachable, so no client observes a job before
+// its fate is decided.
 func (c *Coordinator) adoptRecord(rec *ledgerRecord) bool {
-	j := &fleetJob{
-		id:        rec.accepted.ID,
-		spec:      rec.accepted.Spec,
-		created:   time.UnixMilli(rec.accepted.CreatedUnixMS),
-		led:       rec.led,
-		recovered: true,
-		state:     server.StateQueued,
-		done:      make(chan struct{}),
-	}
-
-	// Decide the job's fate before publishing it, so no client observes an
-	// intermediate state.
+	a := rec.accepted
+	r := &run{job: c.Adopt(a.ID, a.Key, a.Spec, time.UnixMilli(a.CreatedUnixMS)), led: rec.led}
 	rerun := false
 	switch {
-	case rec.accepted.Spec.Validate() != nil:
+	case a.Spec.Validate() != nil:
 		// The spec round-tripped through JSON and no longer validates —
 		// a hand-edited or version-skewed ledger. The honest verdict is an
 		// explicit failure under the old ID, not a silent drop.
-		err := fmt.Errorf("fleet: recovered spec no longer validates: %w", rec.accepted.Spec.Validate())
-		c.slog.Warn("recovered job failed validation", "job", j.id, "error", err)
-		c.settleRecovered(j, server.StateFailed, nil, Report{}, err)
+		err := fmt.Errorf("fleet: recovered spec no longer validates: %w", a.Spec.Validate())
+		c.slog.Warn("recovered job failed validation", "job", a.ID, "error", err)
+		c.settleRecovered(r, server.StateFailed, nil, err)
 	case rec.finished == nil:
 		// In-flight at the crash (or parked by a drain): re-adopt.
 		rerun = true
@@ -83,10 +75,10 @@ func (c *Coordinator) adoptRecord(rec *ledgerRecord) bool {
 		if rec.finished.Error != "" {
 			err = errors.New(rec.finished.Error)
 		}
-		c.settleRecovered(j, server.JobState(rec.finished.State), nil, Report{}, err)
+		c.settleRecovered(r, server.JobState(rec.finished.State), nil, err)
 	case rec.finished.State == string(server.StateDone):
-		if c.restoreDone(j, rec.accepted.ShardClusters) {
-			c.slog.Info("job restored from spill", "job", j.id)
+		if c.restoreDone(r, a.ShardClusters) {
+			c.slog.Info("job restored from spill", "job", a.ID)
 		} else {
 			// The spill no longer holds every shard (GC, bit rot, or a
 			// non-simulate kind). Determinism makes recomputation safe:
@@ -95,41 +87,30 @@ func (c *Coordinator) adoptRecord(rec *ledgerRecord) bool {
 		}
 	default:
 		c.slog.Warn("recovered job carries unknown terminal state; re-running",
-			"job", j.id, "state", rec.finished.State)
+			"job", a.ID, "state", rec.finished.State)
 		rerun = true
 	}
-
-	c.mu.Lock()
-	c.jobs[j.id] = j
-	if key := rec.accepted.Key; key != "" {
-		c.idem[key] = j.id
+	if !rerun {
+		c.mu.Lock()
+		c.runs[a.ID] = r
+		c.mu.Unlock()
+		return false
 	}
-	var n int
-	if _, err := fmt.Sscanf(j.id, "f%06d", &n); err == nil && n > c.nextID {
-		c.nextID = n
-	}
-	if rerun {
-		c.jobWG.Add(1)
-	}
-	c.mu.Unlock()
-
-	if rerun {
-		c.metrics.recovered.Inc()
-		j.led.replayed()
-		c.slog.Info("job re-adopted from ledger", "job", j.id, "kind", string(j.spec.Kind))
-		go c.runJob(j)
-	}
-	return rerun
+	c.metrics.recovered.Inc()
+	r.led.replayed()
+	c.slog.Info("job re-adopted from ledger", "job", a.ID, "kind", string(a.Spec.Kind))
+	c.start(r)
+	return true
 }
 
 // settleRecovered pins a recovered job to a terminal state without
 // re-counting it in the finished metrics — it finished in a previous
 // process life; this life merely remembers the verdict.
-func (c *Coordinator) settleRecovered(j *fleetJob, state server.JobState, data []byte, rep Report, err error) {
-	j.finish(state, data, rep, err)
-	j.led.close()
-	if j.led != nil {
-		c.ledger.retire(j.led.path)
+func (c *Coordinator) settleRecovered(r *run, state server.JobState, data []byte, err error) {
+	r.job.Restore(state, data, err)
+	r.led.close()
+	if r.led != nil {
+		c.ledger.retire(r.led.path)
 	}
 }
 
@@ -141,11 +122,11 @@ func (c *Coordinator) settleRecovered(j *fleetJob, state server.JobState, data [
 //
 // Shards read back also seed the memory cache, so even a failed restore
 // leaves the subsequent re-run mostly cache-warm.
-func (c *Coordinator) restoreDone(j *fleetJob, shardClusters int) bool {
-	if c.spill == nil || j.spec.Kind != server.KindSimulate || j.spec.Simulate == nil {
+func (c *Coordinator) restoreDone(r *run, shardClusters int) bool {
+	if c.spill == nil || r.job.Spec.Kind != server.KindSimulate || r.job.Spec.Simulate == nil {
 		return false
 	}
-	spec := *j.spec.Simulate
+	spec := *r.job.Spec.Simulate
 	if spec.ClusterFirst != 0 || spec.ClusterCount != 0 {
 		return false
 	}
@@ -170,6 +151,7 @@ func (c *Coordinator) restoreDone(j *fleetJob, shardClusters int) bool {
 		c.metrics.cacheHits.Inc()
 		c.metrics.shardsDone.Inc()
 	}
-	c.settleRecovered(j, server.StateDone, buf.Bytes(), rep, nil)
+	r.report = rep
+	c.settleRecovered(r, server.StateDone, buf.Bytes(), nil)
 	return true
 }

@@ -436,27 +436,3 @@ func TestIdempotencyReplayAcrossRestart(t *testing.T) {
 		t.Errorf("workers saw %v new submissions across the restart, want 0", submittedAfter-submittedBefore)
 	}
 }
-
-// TestRetryAfterHintClamp: the hint must be a positive integer bounded by
-// an hour, whatever the drain configuration says.
-func TestRetryAfterHintClamp(t *testing.T) {
-	c := &Coordinator{}
-	c.phase = phaseRecovering
-	if got := c.retryAfterHint(); got != 1 {
-		t.Errorf("recovering hint = %d, want 1", got)
-	}
-	c.phase = server.PhaseDraining
-	c.drainStarted = time.Now()
-	c.cfg.DrainGrace = 5 * time.Second
-	if got := c.retryAfterHint(); got < 1 || got > 5 {
-		t.Errorf("draining hint = %d, want within the 5s grace", got)
-	}
-	c.cfg.DrainGrace = 48 * time.Hour
-	if got := c.retryAfterHint(); got != maxRetryAfterSeconds {
-		t.Errorf("oversized grace hint = %d, want clamp to %d", got, maxRetryAfterSeconds)
-	}
-	c.cfg.DrainGrace = -time.Hour
-	if got := c.retryAfterHint(); got != 1 {
-		t.Errorf("expired grace hint = %d, want floor 1", got)
-	}
-}

@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"net/http"
 	"os"
 	"sort"
 	"strings"
@@ -77,8 +76,4 @@ func (s *Server) DrainzSnapshot() Drainz {
 		return dz.Journals[i].Fingerprint < dz.Journals[k].Fingerprint
 	})
 	return dz
-}
-
-func (s *Server) handleDrainz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.DrainzSnapshot())
 }

@@ -1,10 +1,10 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -237,9 +237,7 @@ func (sp *SimulateSpec) Simulator() (channel.Channel, channel.CoverageModel, err
 // stopped.
 func (sp *SimulateSpec) Fingerprint() uint64 {
 	b, _ := json.Marshal(sp)
-	h := fnv.New64a()
-	h.Write(b)
-	return h.Sum64()
+	return Hash64(b)
 }
 
 // RetrieveSpec parameterises a retrieval job: the resilient read path of
@@ -314,9 +312,7 @@ func (s *JobSpec) Deadline() time.Time {
 // it lost sends the same fingerprint and gets the same job back.
 func (s *JobSpec) Fingerprint() uint64 {
 	b, _ := json.Marshal(s)
-	h := fnv.New64a()
-	h.Write(b)
-	return h.Sum64()
+	return Hash64(b)
 }
 
 // Validate checks kind/params consistency.
@@ -355,8 +351,8 @@ type Job struct {
 	ID string
 	// Spec is the validated submission.
 	Spec JobSpec
-	// created stamps admission; job latency metrics measure from here.
-	created time.Time
+	// Created stamps admission; job latency metrics measure from here.
+	Created time.Time
 
 	mu       sync.Mutex
 	state    JobState
@@ -366,7 +362,7 @@ type Job struct {
 	progress Progress
 	// cancel stops the current execution attempt with a cause; nil while
 	// not running.
-	cancel func(cause error)
+	cancel context.CancelCauseFunc
 	// ckpt is the simulation job's open journal handle, shared across
 	// attempts so an abandoned attempt and its requeue never hold two
 	// handles on the same file.
@@ -380,11 +376,43 @@ type Job struct {
 }
 
 // newJob returns a queued job.
-func newJob(id string, spec JobSpec) *Job {
-	j := &Job{ID: id, Spec: spec, created: time.Now(), state: StateQueued, done: make(chan struct{})}
+func newJob(id string, spec JobSpec, created time.Time) *Job {
+	j := &Job{ID: id, Spec: spec, Created: created, state: StateQueued, done: make(chan struct{})}
 	j.touch()
 	return j
 }
+
+// Start moves a queued job to running with the cancel hook of its new
+// attempt, in one critical section: a client cancel that raced the start
+// either already settled the job (Start reports false) or will find the
+// hook set.
+func (j *Job) Start(cancel context.CancelCauseFunc) bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.state.Terminal() {
+		return false
+	}
+	j.state = StateRunning
+	j.attempts++
+	j.cancel = cancel
+	return true
+}
+
+// Interrupt cancels the job's running attempt with cause, reporting
+// whether one was running.
+func (j *Job) Interrupt(cause error) bool {
+	j.mu.Lock()
+	cancel := j.cancel
+	j.mu.Unlock()
+	if cancel != nil {
+		cancel(cause)
+	}
+	return cancel != nil
+}
+
+// Restore pins a job adopted from durable state to the verdict a previous
+// process life recorded. It is not counted again in the finish metrics.
+func (j *Job) Restore(state JobState, result []byte, err error) { j.finish(state, result, err) }
 
 // touch stamps progress now; called at attempt start and per cluster.
 func (j *Job) touch() { j.lastProgress.Store(time.Now().UnixNano()) }

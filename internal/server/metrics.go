@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"time"
 
 	"dnastore/internal/obs"
 )
@@ -18,56 +17,25 @@ import (
 type serverMetrics struct {
 	reg *obs.Registry
 
-	submitted    *obs.Counter
-	shedFull     *obs.Counter
-	shedDraining *obs.Counter
-	shedDeadline *obs.Counter
-	idemReplays  *obs.Counter
-	kills        *obs.Counter
-	requeues     *obs.Counter
-	finished     map[JobState]*obs.Counter
-	breakerTo    map[BreakerState]*obs.Counter
-	jobSeconds   map[JobKind]*obs.Histogram
-	attemptSecs  *obs.Histogram
+	kills       *obs.Counter
+	requeues    *obs.Counter
+	breakerTo   map[BreakerState]*obs.Counter
+	attemptSecs *obs.Histogram
 }
 
-// jobBuckets cover the service's latency range: millisecond drills up to
-// multi-minute full-scale simulations.
-var jobBuckets = []float64{0.001, 0.005, 0.025, 0.1, 0.5, 1, 5, 15, 60, 300}
-
-// newServerMetrics registers every series and the scrape-time gauges.
+// newServerMetrics registers the worker pool's series and scrape-time
+// gauges; the job counters shared with the fleet live on the Frontend.
 func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 	m := &serverMetrics{reg: reg}
-	m.submitted = reg.Counter("dnasimd_jobs_submitted_total",
-		"Jobs admitted past validation and queue capacity.")
-	shedHelp := "Submissions shed at admission with 503 + Retry-After, by reason."
-	m.shedFull = reg.Counter(`dnasimd_jobs_shed_total{reason="queue_full"}`, shedHelp)
-	m.shedDraining = reg.Counter(`dnasimd_jobs_shed_total{reason="draining"}`, shedHelp)
-	m.shedDeadline = reg.Counter(`dnasimd_jobs_shed_total{reason="deadline_expired"}`, shedHelp)
-	m.idemReplays = reg.Counter("dnasimd_jobs_idempotent_replays_total",
-		"Submissions answered with an already-admitted job via Idempotency-Key.")
 	m.kills = reg.Counter("dnasimd_watchdog_kills_total",
 		"Attempts killed by the stall watchdog for lack of cluster progress.")
 	m.requeues = reg.Counter("dnasimd_job_requeues_total",
 		"Supervised requeues after a failed or killed attempt.")
-
-	finHelp := "Jobs reaching a terminal state, by outcome."
-	m.finished = map[JobState]*obs.Counter{
-		StateDone:         reg.Counter(`dnasimd_jobs_finished_total{outcome="done"}`, finHelp),
-		StateFailed:       reg.Counter(`dnasimd_jobs_finished_total{outcome="failed"}`, finHelp),
-		StateCanceled:     reg.Counter(`dnasimd_jobs_finished_total{outcome="canceled"}`, finHelp),
-		StateCheckpointed: reg.Counter(`dnasimd_jobs_finished_total{outcome="checkpointed"}`, finHelp),
-	}
 	brkHelp := "Circuit breaker state transitions, by target state."
 	m.breakerTo = map[BreakerState]*obs.Counter{
 		BreakerOpen:     reg.Counter(`dnasimd_breaker_transitions_total{to="open"}`, brkHelp),
 		BreakerHalfOpen: reg.Counter(`dnasimd_breaker_transitions_total{to="half-open"}`, brkHelp),
 		BreakerClosed:   reg.Counter(`dnasimd_breaker_transitions_total{to="closed"}`, brkHelp),
-	}
-	latHelp := "Job latency from admission to terminal state, by kind."
-	m.jobSeconds = map[JobKind]*obs.Histogram{
-		KindSimulate: reg.Histogram(`dnasimd_job_seconds{kind="simulate"}`, latHelp, jobBuckets),
-		KindRetrieve: reg.Histogram(`dnasimd_job_seconds{kind="retrieve"}`, latHelp, jobBuckets),
 	}
 	m.attemptSecs = reg.Histogram("dnasimd_attempt_seconds",
 		"Latency of a single supervised execution attempt.", jobBuckets)
@@ -77,12 +45,6 @@ func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 		func() float64 { return float64(s.queue.depth()) })
 	reg.GaugeFunc("dnasimd_jobs_running", "Jobs currently executing on workers.",
 		func() float64 { return float64(s.dog.runningCount()) })
-	reg.GaugeFunc("dnasimd_jobs_tracked", "Jobs known to the server (all states).",
-		func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return float64(len(s.jobs))
-		})
 	reg.GaugeFunc("dnasimd_breaker_open", "1 while the I/O circuit breaker is open.",
 		func() float64 {
 			if s.breaker.State() == BreakerOpen {
@@ -91,17 +53,6 @@ func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 			return 0
 		})
 	return m
-}
-
-// observeFinish records a job's terminal transition. Called exactly once
-// per job (finish is idempotent and reports whether it transitioned).
-func (m *serverMetrics) observeFinish(j *Job, state JobState) {
-	if c := m.finished[state]; c != nil {
-		c.Inc()
-	}
-	if h := m.jobSeconds[j.Spec.Kind]; h != nil {
-		h.Observe(time.Since(j.created).Seconds())
-	}
 }
 
 // observeStages folds one attempt's stage-timer account into the per-stage

@@ -21,37 +21,22 @@
 // Determinism is preserved end to end: jobs execute clusters via the
 // per-cluster split-RNG scheme, so output is byte-identical regardless of
 // worker count, stall kills, requeues, or drain/resume cycles.
+//
+// The HTTP job front end (Frontend) is shared with the fleet coordinator:
+// a Server is that front end over the local worker pool, and a
+// fleet.Coordinator is the same front end over its shard scheduler.
 package server
 
 import (
-	"encoding/json"
 	"errors"
-	"fmt"
-	"hash/fnv"
 	"log/slog"
-	"math"
 	"net/http"
 	"runtime"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"dnastore/internal/channel"
 	"dnastore/internal/obs"
-)
-
-// Phase is the server lifecycle state exposed by /healthz and /readyz.
-type Phase string
-
-const (
-	// PhaseServing: admitting and executing jobs.
-	PhaseServing Phase = "serving"
-	// PhaseDraining: admission stopped; in-flight jobs finishing or
-	// checkpointing.
-	PhaseDraining Phase = "draining"
-	// PhaseStopped: every worker exited; the process is about to leave.
-	PhaseStopped Phase = "stopped"
 )
 
 // Config parameterises a Server. The zero value is usable: every field
@@ -91,20 +76,20 @@ type Config struct {
 	// coverage model — the chaos-drill injection point for panic, stall
 	// and latency injectors.
 	WrapSimulation func(ch channel.Channel, cov channel.CoverageModel) (channel.Channel, channel.CoverageModel)
-	// Logf receives operational log lines (default: discard).
-	Logf func(format string, args ...any)
-	// Logger, when set, receives structured per-request and per-job logs
-	// (job IDs, outcomes, stage timings). Independent of Logf so existing
-	// printf-style consumers keep working.
+	// Logger receives structured per-request and per-job logs (job IDs,
+	// outcomes, stage timings, drain and supervision events; default:
+	// discard).
 	Logger *slog.Logger
 	// Registry receives the server's metrics; nil allocates a private
 	// registry (exposed via Server.Registry and GET /metrics either way).
 	Registry *obs.Registry
 }
 
-// Server is the dnasimd job service. It implements http.Handler; the
-// binary wires it to a net/http.Server and signal handling.
+// Server is the dnasimd job service: the shared job Frontend over the
+// local supervised worker pool, which is the Executor implemented below.
+// The binary wires it to a net/http.Server and signal handling.
 type Server struct {
+	*Frontend
 	cfg      Config
 	queue    *jobQueue
 	dog      *watchdog
@@ -112,18 +97,6 @@ type Server struct {
 	metrics  *serverMetrics
 	slog     *slog.Logger
 	workerWG sync.WaitGroup
-
-	mu           sync.Mutex
-	phase        Phase
-	jobs         map[string]*Job
-	idem         map[string]string // idempotency key -> job ID
-	nextID       int
-	drainStarted time.Time
-
-	drainOnce sync.Once
-	drained   chan struct{}
-
-	mux *http.ServeMux
 }
 
 // New starts a serving Server: workers and watchdog are live on return.
@@ -152,9 +125,6 @@ func New(cfg Config) *Server {
 	if cfg.EstimatedJobTime <= 0 {
 		cfg.EstimatedJobTime = 2 * time.Second
 	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...any) {}
-	}
 	if cfg.Logger == nil {
 		cfg.Logger = obs.Discard()
 	}
@@ -166,11 +136,10 @@ func New(cfg Config) *Server {
 		queue:   newJobQueue(cfg.QueueCapacity),
 		breaker: NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
 		slog:    cfg.Logger,
-		phase:   PhaseServing,
-		jobs:    make(map[string]*Job),
-		idem:    make(map[string]string),
-		drained: make(chan struct{}),
 	}
+	s.Frontend = NewFrontend(s, FrontendConfig{
+		IDPrefix: "j", DrainGrace: cfg.DrainGrace, Logger: cfg.Logger, Registry: cfg.Registry,
+	})
 	// Supervision events flow into the metric surface through hooks so the
 	// watchdog and breaker stay observable without importing obs
 	// themselves. Both hooks are installed before any goroutine that can
@@ -187,7 +156,6 @@ func New(cfg Config) *Server {
 		s.slog.Warn("breaker transition", "from", string(from), "to", string(to))
 	}
 	s.metrics = newServerMetrics(s, cfg.Registry)
-	s.routes()
 	s.workerWG.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		go s.worker()
@@ -195,277 +163,31 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// logf forwards to the configured logger.
-func (s *Server) logf(format string, args ...any) { s.cfg.Logf(format, args...) }
-
-// Registry returns the server's metrics registry (also served from
-// GET /metrics).
-func (s *Server) Registry() *obs.Registry { return s.cfg.Registry }
-
-// finishJob moves a job to a terminal state and, if this call actually
-// performed the transition, records outcome and latency exactly once.
-// Every server-side finish goes through here; Job.finish stays idempotent
-// underneath, so racing finishers cannot double-count.
-func (s *Server) finishJob(j *Job, state JobState, result []byte, err error) {
-	if !j.finish(state, result, err) {
-		return
-	}
-	s.metrics.observeFinish(j, state)
-	attrs := []any{"job", j.ID, "kind", string(j.Spec.Kind), "state", string(state),
-		"attempts", j.Attempts(), "elapsed", time.Since(j.created).Round(time.Millisecond)}
-	if err != nil {
-		attrs = append(attrs, "error", err.Error())
-	}
-	s.slog.Info("job finished", attrs...)
-}
-
-// Phase returns the current lifecycle phase.
-func (s *Server) Phase() Phase {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.phase
-}
-
-// ErrDeadlineExpired is returned by Submit when the spec's client-supplied
-// deadline has already passed at admission time. The HTTP layer maps it to
-// 504: executing the job would burn a queue slot producing a result no one
-// is still waiting for.
-var ErrDeadlineExpired = errors.New("server: job deadline already expired at admission")
-
-// Submit validates and admits a job, returning it, or an admission error
-// (ErrQueueFull / ErrQueueClosed / ErrDeadlineExpired) the HTTP layer maps
-// to 503 / 504.
-func (s *Server) Submit(spec JobSpec) (*Job, error) {
-	j, _, err := s.SubmitIdempotent("", spec)
-	return j, err
-}
-
-// SubmitIdempotent is Submit with an optional idempotency key. A non-empty
-// key that was already admitted returns the existing job with replayed =
-// true instead of creating a duplicate — the contract that makes a client
-// retry of a submit that raced a success safe. The key→job binding is made
-// under the same critical section as admission, so two concurrent submits
-// with the same key can never both create a job.
-func (s *Server) SubmitIdempotent(key string, spec JobSpec) (j *Job, replayed bool, err error) {
-	if err := spec.Validate(); err != nil {
-		return nil, false, fmt.Errorf("server: invalid job: %w", err)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if key != "" {
-		if id, ok := s.idem[key]; ok {
-			if prev, ok := s.jobs[id]; ok && prev.State() != StateCheckpointed {
-				// Replay everything except a checkpointed job: resumable
-				// means "resubmit to continue", so the retry admits a fresh
-				// job (which picks the journal back up) and rebinds the key.
-				return prev, true, nil
-			}
-		}
-	}
-	if ddl := spec.Deadline(); !ddl.IsZero() && !time.Now().Before(ddl) {
-		return nil, false, ErrDeadlineExpired
-	}
-	if s.phase != PhaseServing {
-		return nil, false, ErrQueueClosed
-	}
-	s.nextID++
-	id := fmt.Sprintf("j%06d", s.nextID)
-	j = newJob(id, spec)
-	// push happens inside s.mu: it never blocks (the queue is bounded and
-	// sheds instead of waiting), and holding the lock closes the window in
-	// which a racing same-key submit could observe a half-admitted job.
-	if err := s.queue.push(j); err != nil {
-		return nil, false, err
-	}
-	s.jobs[id] = j
-	if key != "" {
-		s.idem[key] = id
-	}
-	s.metrics.submitted.Inc()
-	s.slog.Info("job admitted", "job", id, "kind", string(spec.Kind), "queue_depth", s.queue.depth())
-	return j, false, nil
-}
-
-// Job returns a submitted job by ID.
-func (s *Server) Job(id string) (*Job, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	return j, ok
-}
-
-// Cancel requests cancellation of a job. Queued jobs park immediately;
-// running jobs get their attempt context canceled and settle shortly.
-func (s *Server) Cancel(id string) (JobState, error) {
-	j, ok := s.Job(id)
-	if !ok {
-		return "", fmt.Errorf("server: unknown job %q", id)
-	}
-	j.mu.Lock()
+// Admit queues a job for the worker pool (Executor). The queue is bounded
+// and sheds instead of waiting, so the push never blocks the front end.
+func (s *Server) Admit(j *Job, _ string) error {
+	err := s.queue.push(j)
 	switch {
-	case j.state.Terminal():
-		st := j.state
-		j.mu.Unlock()
-		return st, nil
-	case j.state == StateQueued:
-		// Parked; the worker skips terminal jobs on pop.
-		transitioned := j.finishLocked(StateCanceled, nil, errCanceledByClient)
-		j.mu.Unlock()
-		if transitioned {
-			s.metrics.observeFinish(j, StateCanceled)
-			s.slog.Info("job finished", "job", j.ID, "kind", string(j.Spec.Kind),
-				"state", string(StateCanceled), "error", errCanceledByClient.Error())
-		}
-		return StateCanceled, nil
-	default:
-		cancel := j.cancel
-		j.mu.Unlock()
-		if cancel != nil {
-			cancel(errCanceledByClient)
-		}
-		return StateRunning, nil
+	case errors.Is(err, ErrQueueFull):
+		return &ShedError{Reason: shedQueueFull, Err: err}
+	case err != nil:
+		return &ShedError{Reason: shedDraining, Err: err}
 	}
+	return nil
 }
 
-// maxRetryAfterSeconds caps the Retry-After hint: past an hour the number
-// stops being advice and starts being a bug amplifier.
-const maxRetryAfterSeconds = 3600
-
-// retryAfter estimates when a shed client should come back: the queue
-// backlog divided across the worker pool at the configured per-job
-// estimate. RFC 9110 §10.2.3 defines Retry-After delta-seconds as a
-// non-negative decimal integer, and a 0 (or fractional) value makes
-// well-behaved clients retry immediately — so the estimate is rounded up
-// and clamped into [1, maxRetryAfterSeconds]. The clamp comparisons are
-// written to also catch a NaN/Inf estimate (misconfigured
-// EstimatedJobTime) before the float→int conversion, whose behavior is
-// undefined out of range.
-func (s *Server) retryAfter() int {
-	s.mu.Lock()
-	phase, drainStarted := s.phase, s.drainStarted
-	s.mu.Unlock()
-	if phase == PhaseDraining || phase == PhaseStopped {
-		return s.drainRetryAfter(drainStarted)
-	}
+// RetryEstimate is the queue backlog divided across the worker pool at the
+// configured per-job estimate (Executor).
+func (s *Server) RetryEstimate() float64 {
 	backlog := s.queue.depth() + s.dog.runningCount()
-	workers := s.cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	sec := s.cfg.EstimatedJobTime.Seconds() * float64(backlog+1) / float64(workers)
-	switch {
-	case !(sec > 1): // ≤1, or NaN
-		return 1
-	case sec >= maxRetryAfterSeconds:
-		return maxRetryAfterSeconds
-	}
-	return int(math.Ceil(sec))
+	return s.cfg.EstimatedJobTime.Seconds() * float64(backlog+1) / float64(max(s.cfg.Workers, 1))
 }
 
-// drainRetryAfter is the Retry-After hint for a non-serving instance. The
-// backlog estimate is meaningless here — admission never resumes in this
-// process — so the honest hint is the remainder of the drain window: by
-// then this instance has exited and its replacement (or the load balancer)
-// can take the retry. Both the shed path and /readyz use it, so readiness
-// probes and shed clients hear the same number.
-func (s *Server) drainRetryAfter(drainStarted time.Time) int {
-	rem := s.cfg.DrainGrace
-	if !drainStarted.IsZero() {
-		rem -= time.Since(drainStarted)
-	}
-	sec := math.Ceil(rem.Seconds())
-	switch {
-	case !(sec > 1): // ≤1, or NaN
-		return 1
-	case sec >= maxRetryAfterSeconds:
-		return maxRetryAfterSeconds
-	}
-	return int(sec)
-}
+// Ready reports that the pool takes work whenever the front end serves
+// (Executor).
+func (s *Server) Ready() error { return nil }
 
-// Drain executes the graceful shutdown state machine:
-//
-//	serving → draining: admission stops (submissions and requeues shed;
-//	  /readyz flips to 503), queued jobs are canceled, and running
-//	  simulate jobs with a journal are interrupted so they checkpoint.
-//	draining: remaining in-flight jobs get up to DrainGrace to finish,
-//	  then are canceled.
-//	→ stopped: every worker has exited; /healthz reports "stopped".
-//
-// Drain is idempotent and returns once the server is stopped.
-func (s *Server) Drain() {
-	s.drainOnce.Do(func() {
-		s.mu.Lock()
-		s.phase = PhaseDraining
-		s.drainStarted = time.Now()
-		s.mu.Unlock()
-		s.logf("drain: admission stopped")
-
-		// Shed the queue: those jobs never started, so there is nothing
-		// to checkpoint.
-		for _, j := range s.queue.close() {
-			s.finishJob(j, StateCanceled, nil, errDraining)
-		}
-
-		// Interrupt checkpointable in-flight jobs: their progress is
-		// durable, so the fastest correct exit is "journal and park".
-		// Everything else keeps running within the grace window.
-		running := s.runningJobs()
-		for _, j := range running {
-			if s.jobCheckpointPath(j) != "" {
-				j.mu.Lock()
-				cancel := j.cancel
-				j.mu.Unlock()
-				if cancel != nil {
-					cancel(errDraining)
-				}
-			}
-		}
-
-		workersDone := make(chan struct{})
-		go func() {
-			s.workerWG.Wait()
-			close(workersDone)
-		}()
-		select {
-		case <-workersDone:
-		case <-time.After(s.cfg.DrainGrace):
-			s.logf("drain: grace expired, canceling stragglers")
-			for _, j := range s.runningJobs() {
-				j.mu.Lock()
-				cancel := j.cancel
-				j.mu.Unlock()
-				if cancel != nil {
-					cancel(errDraining)
-				}
-			}
-			<-workersDone
-		}
-
-		s.dog.close()
-		s.mu.Lock()
-		s.phase = PhaseStopped
-		s.mu.Unlock()
-		s.logf("drain: stopped")
-		close(s.drained)
-	})
-	<-s.drained
-}
-
-// runningJobs snapshots jobs currently in StateRunning.
-func (s *Server) runningJobs() []*Job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []*Job
-	for _, j := range s.jobs {
-		if j.State() == StateRunning {
-			out = append(out, j)
-		}
-	}
-	return out
-}
-
-// Health is the /healthz payload.
+// Health is the single-node /healthz payload.
 type Health struct {
 	Phase      Phase        `json:"phase"`
 	QueueDepth int          `json:"queue_depth"`
@@ -474,12 +196,8 @@ type Health struct {
 	Jobs       int          `json:"jobs"`
 }
 
-// HealthSnapshot returns the current health view.
-func (s *Server) HealthSnapshot() Health {
-	s.mu.Lock()
-	jobs := len(s.jobs)
-	phase := s.phase
-	s.mu.Unlock()
+// Health returns the /healthz body (Executor).
+func (s *Server) Health(phase Phase, jobs int) any {
 	return Health{
 		Phase:      phase,
 		QueueDepth: s.queue.depth(),
@@ -489,187 +207,40 @@ func (s *Server) HealthSnapshot() Health {
 	}
 }
 
-// routes builds the HTTP mux.
-func (s *Server) routes() {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleStatus)
-	mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleResult)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /readyz", s.handleReadyz)
-	mux.HandleFunc("GET /drainz", s.handleDrainz)
-	mux.Handle("GET /metrics", s.cfg.Registry.Handler())
-	s.mux = mux
+// Mount adds GET /drainz (Executor).
+func (s *Server) Mount(mux *http.ServeMux) {
+	mux.HandleFunc("GET /drainz", func(w http.ResponseWriter, r *http.Request) {
+		WriteJSON(w, http.StatusOK, s.DrainzSnapshot())
+	})
 }
 
-// statusWriter captures the response code for the request log.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// ServeHTTP implements http.Handler, logging every request with method,
-// path, status and latency. Job routes log at info; health and metrics
-// probes at debug so scrapers don't flood the log.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-	s.mux.ServeHTTP(sw, r)
-	lvl := slog.LevelDebug
-	if strings.HasPrefix(r.URL.Path, "/v1/") {
-		lvl = slog.LevelInfo
+// Quiesce is the pool's part of the drain (Executor): queued jobs are
+// canceled (they never started, so there is nothing to checkpoint), running
+// simulate jobs with a journal are interrupted so they park as
+// checkpointed, and the rest get DrainGrace to finish before they are
+// canceled too.
+func (s *Server) Quiesce() {
+	for _, j := range s.queue.close() {
+		s.Finish(j, StateCanceled, nil, errDraining)
 	}
-	s.slog.Log(r.Context(), lvl, "http request",
-		"method", r.Method, "path", r.URL.Path, "status", sw.code,
-		"elapsed", time.Since(start).Round(time.Microsecond))
-}
-
-// BodyChecksumHeader carries an FNV-64a hash (hex) of the response body.
-// HTTP framing protects against truncation but not against bytes flipped
-// in flight that happen to keep the framing valid — a mangled job ID
-// inside otherwise-parseable JSON, or a silently corrupted result
-// payload. The client recomputes the hash over the received body and
-// treats a mismatch as a transport fault to retry, never data to act on.
-const BodyChecksumHeader = "X-Dnasimd-Body-Fnv64a"
-
-// bodyChecksum renders the FNV-64a of a response body for the header.
-func bodyChecksum(b []byte) string {
-	h := fnv.New64a()
-	h.Write(b)
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-// writeJSON writes a JSON response with its body checksum header.
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	buf, err := json.Marshal(v)
-	if err != nil {
-		buf = []byte(`{"error":"encode response"}`)
+	for _, j := range s.dog.jobs() {
+		if s.jobCheckpointPath(j) != "" {
+			j.Interrupt(errDraining)
+		}
 	}
-	buf = append(buf, '\n')
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set(BodyChecksumHeader, bodyChecksum(buf))
-	w.WriteHeader(code)
-	w.Write(buf)
-}
-
-// shed answers a rejected submission: 503 with a Retry-After hint, the
-// admission-control contract.
-func (s *Server) shed(w http.ResponseWriter, reason string) {
-	switch reason {
-	case "queue full":
-		s.metrics.shedFull.Inc()
-	case "draining":
-		s.metrics.shedDraining.Inc()
+	workersDone := make(chan struct{})
+	go func() {
+		s.workerWG.Wait()
+		close(workersDone)
+	}()
+	select {
+	case <-workersDone:
+	case <-time.After(s.cfg.DrainGrace):
+		s.slog.Warn("drain: grace expired, canceling stragglers", "grace", s.cfg.DrainGrace)
+		for _, j := range s.dog.jobs() {
+			j.Interrupt(errDraining)
+		}
+		<-workersDone
 	}
-	w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
-	writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": reason})
-}
-
-// IdempotencyKeyHeader carries the client's submission identity. Retrying
-// a submit with the same key returns the originally admitted job (HTTP 200
-// with IdempotencyReplayedHeader: true) instead of creating a duplicate.
-const (
-	IdempotencyKeyHeader      = "Idempotency-Key"
-	IdempotencyReplayedHeader = "Idempotency-Replayed"
-)
-
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec JobSpec
-	body := http.MaxBytesReader(w, r.Body, 64<<20)
-	if err := json.NewDecoder(body).Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("decode job spec: %v", err)})
-		return
-	}
-	j, replayed, err := s.SubmitIdempotent(r.Header.Get(IdempotencyKeyHeader), spec)
-	switch {
-	case errors.Is(err, ErrQueueFull):
-		s.shed(w, "queue full")
-		return
-	case errors.Is(err, ErrQueueClosed):
-		s.shed(w, "draining")
-		return
-	case errors.Is(err, ErrDeadlineExpired):
-		// 504, not 503: the client's time budget is spent, so "come back
-		// later" would be a lie — there is no Retry-After that helps.
-		s.metrics.shedDeadline.Inc()
-		writeJSON(w, http.StatusGatewayTimeout, map[string]string{"error": err.Error()})
-		return
-	case err != nil:
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-		return
-	}
-	if replayed {
-		s.metrics.idemReplays.Inc()
-		w.Header().Set(IdempotencyReplayedHeader, "true")
-		writeJSON(w, http.StatusOK, j.Snapshot())
-		return
-	}
-	writeJSON(w, http.StatusAccepted, j.Snapshot())
-}
-
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.Job(r.PathValue("id"))
-	if !ok {
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": "unknown job"})
-		return
-	}
-	writeJSON(w, http.StatusOK, j.Snapshot())
-}
-
-func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.Job(r.PathValue("id"))
-	if !ok {
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": "unknown job"})
-		return
-	}
-	st := j.Snapshot()
-	w.Header().Set("X-Job-State", string(st.State))
-	data, ok := j.Result()
-	if !ok {
-		writeJSON(w, http.StatusConflict, st)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set(BodyChecksumHeader, bodyChecksum(data))
-	w.WriteHeader(http.StatusOK)
-	w.Write(data)
-}
-
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if _, err := s.Cancel(id); err != nil {
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": err.Error()})
-		return
-	}
-	j, _ := s.Job(id)
-	writeJSON(w, http.StatusAccepted, j.Snapshot())
-}
-
-// handleHealthz is liveness plus introspection: 200 while the process is
-// serving or draining (it is alive and can answer), with the full health
-// snapshot as the body; 503 once stopped.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	h := s.HealthSnapshot()
-	code := http.StatusOK
-	if h.Phase == PhaseStopped {
-		code = http.StatusServiceUnavailable
-	}
-	writeJSON(w, code, h)
-}
-
-// handleReadyz is readiness: 200 only while admitting jobs, so load
-// balancers stop routing to a draining instance before it sheds.
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if s.Phase() == PhaseServing {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-		return
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
-	writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": string(s.Phase())})
+	s.dog.close()
 }

@@ -67,6 +67,17 @@ func (w *watchdog) unwatch(j *Job) {
 	w.mu.Unlock()
 }
 
+// jobs snapshots the jobs under supervision.
+func (w *watchdog) jobs() []*Job {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	out := make([]*Job, 0, len(w.running))
+	for _, j := range w.running {
+		out = append(out, j)
+	}
+	return out
+}
+
 // runningCount returns how many jobs are under supervision.
 func (w *watchdog) runningCount() int {
 	w.mu.Lock()
@@ -96,14 +107,8 @@ func (w *watchdog) loop() {
 			}
 			w.mu.Unlock()
 			for _, j := range stalled {
-				j.mu.Lock()
-				cancel := j.cancel
-				j.mu.Unlock()
-				if cancel != nil {
-					cancel(fmt.Errorf("%w after %s", ErrStalled, w.stallAfter))
-					if w.onKill != nil {
-						w.onKill(j)
-					}
+				if j.Interrupt(fmt.Errorf("%w after %s", ErrStalled, w.stallAfter)) && w.onKill != nil {
+					w.onKill(j)
 				}
 			}
 		}

@@ -25,9 +25,6 @@ import (
 // is byte-identical regardless of worker count, stall kills, or requeue
 // history.
 
-// errCanceledByClient is the cancellation cause for DELETE /v1/jobs/{id}.
-var errCanceledByClient = errors.New("server: job canceled by client")
-
 // errDraining is the cancellation cause used during graceful drain.
 var errDraining = errors.New("server: draining")
 
@@ -73,7 +70,7 @@ func (s *Server) runJob(j *Job) {
 		remaining := time.Until(ddl)
 		if remaining <= 0 {
 			cancel(nil)
-			s.finishJob(j, StateFailed, nil, fmt.Errorf("server: job deadline expired while queued: %w", context.DeadlineExceeded))
+			s.Finish(j, StateFailed, nil, fmt.Errorf("server: job deadline expired while queued: %w", context.DeadlineExceeded))
 			return
 		}
 		if timeout <= 0 || remaining < timeout {
@@ -94,24 +91,17 @@ func (s *Server) runJob(j *Job) {
 	stages := obs.NewStageTimer()
 	ctx = obs.WithTimer(ctx, stages)
 
-	// Transition to running and expose the cancel hook in one critical
-	// section: a client cancel that raced the pop either already parked
-	// the job (seen here as terminal) or will find j.cancel set.
-	j.mu.Lock()
-	if j.state.Terminal() {
-		j.mu.Unlock()
-		cancel(nil)
-		return
-	}
-	j.state = StateRunning
-	j.attempts++
-	attempt := j.attempts
-	j.cancel = cancel
-	j.mu.Unlock()
+	// Watched from before the start, so a drain that lists the watchdog's
+	// jobs sees every attempt that can be running; the touch first keeps a
+	// long queue wait from reading as a stall.
 	j.touch()
 	s.dog.watch(j)
 	defer s.dog.unwatch(j)
 	defer cancel(nil)
+	if !j.Start(cancel) {
+		return
+	}
+	attempt := j.Attempts()
 
 	// Execute in a child goroutine so a wedged attempt can be abandoned:
 	// Go cannot preempt a stuck goroutine, so after a kill the worker
@@ -157,12 +147,12 @@ func (s *Server) settle(j *Job, ctx context.Context, out jobOutcome, abandoned b
 	switch {
 	case out.err == nil:
 		s.closeJobCheckpoint(j, true)
-		s.finishJob(j, StateDone, out.result, nil)
+		s.Finish(j, StateDone, out.result, nil)
 		return
 
-	case errors.Is(cause, errCanceledByClient) || errors.Is(out.err, errCanceledByClient):
+	case errors.Is(cause, ErrCanceledByClient) || errors.Is(out.err, ErrCanceledByClient):
 		s.closeJobCheckpoint(j, false)
-		s.finishJob(j, StateCanceled, nil, errCanceledByClient)
+		s.Finish(j, StateCanceled, nil, ErrCanceledByClient)
 		return
 
 	case errors.Is(cause, errDraining) || errors.Is(out.err, errDraining):
@@ -170,27 +160,27 @@ func (s *Server) settle(j *Job, ctx context.Context, out jobOutcome, abandoned b
 		// durable and the job is resumable; without one it is canceled.
 		if s.jobCheckpointPath(j) != "" && !abandoned {
 			s.closeJobCheckpoint(j, false)
-			s.finishJob(j, StateCheckpointed, nil, errDraining)
+			s.Finish(j, StateCheckpointed, nil, errDraining)
 		} else {
 			s.closeJobCheckpoint(j, false)
-			s.finishJob(j, StateCanceled, nil, errDraining)
+			s.Finish(j, StateCanceled, nil, errDraining)
 		}
 		return
 
 	case errors.Is(cause, context.DeadlineExceeded) || errors.Is(out.err, context.DeadlineExceeded):
 		// Re-running would meet the same deadline; fail now.
 		s.closeJobCheckpoint(j, false)
-		s.finishJob(j, StateFailed, nil, fmt.Errorf("server: job deadline exceeded: %w", out.err))
+		s.Finish(j, StateFailed, nil, fmt.Errorf("server: job deadline exceeded: %w", out.err))
 		return
 
 	case errors.Is(cause, ErrStalled):
-		s.logf("job %s attempt stalled: %v", j.ID, out.err)
+		s.slog.Warn("attempt stalled", "job", j.ID, "error", out.err)
 		s.retryOrFail(j, fmt.Errorf("stalled: %w", cause))
 		return
 
 	case errors.Is(out.err, ErrBreakerOpen):
 		// The I/O dependency is known-bad; failing fast is the point.
-		s.finishJob(j, StateFailed, nil, out.err)
+		s.Finish(j, StateFailed, nil, out.err)
 		return
 
 	default:
@@ -212,7 +202,7 @@ func (s *Server) retryOrFail(j *Job, attemptErr error) {
 	j.mu.Unlock()
 	if attempts >= s.cfg.MaxAttempts {
 		s.closeJobCheckpoint(j, false)
-		s.finishJob(j, StateFailed, nil, fmt.Errorf("server: %d attempts exhausted, last: %w", attempts, attemptErr))
+		s.Finish(j, StateFailed, nil, fmt.Errorf("server: %d attempts exhausted, last: %w", attempts, attemptErr))
 		return
 	}
 	j.mu.Lock()
@@ -223,15 +213,15 @@ func (s *Server) retryOrFail(j *Job, attemptErr error) {
 	if err := s.queue.requeue(j); err != nil {
 		if s.jobCheckpointPath(j) != "" {
 			s.closeJobCheckpoint(j, false)
-			s.finishJob(j, StateCheckpointed, nil, errDraining)
+			s.Finish(j, StateCheckpointed, nil, errDraining)
 		} else {
 			s.closeJobCheckpoint(j, false)
-			s.finishJob(j, StateCanceled, nil, errDraining)
+			s.Finish(j, StateCanceled, nil, errDraining)
 		}
 		return
 	}
 	s.metrics.requeues.Inc()
-	s.logf("job %s requeued after attempt %d: %v", j.ID, attempts, attemptErr)
+	s.slog.Info("job requeued", "job", j.ID, "attempt", attempts, "error", attemptErr)
 }
 
 // execute dispatches one attempt by kind.
@@ -271,7 +261,7 @@ func (s *Server) closeJobCheckpoint(j *Job, completed bool) {
 	if completed {
 		if path := s.jobCheckpointPath(j); path != "" {
 			if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-				s.logf("job %s: removing checkpoint: %v", j.ID, err)
+				s.slog.Warn("removing checkpoint failed", "job", j.ID, "error", err)
 			}
 		}
 	}
@@ -319,7 +309,7 @@ func (s *Server) executeSimulate(ctx context.Context, j *Job) jobOutcome {
 		j.ckpt = ckpt
 		j.mu.Unlock()
 		if n := ckpt.Completed(); n > 0 {
-			s.logf("job %s resuming: %d/%d clusters journaled", j.ID, n, count)
+			s.slog.Info("resuming from checkpoint", "job", j.ID, "journaled", n, "clusters", count)
 			j.setProgress(n, count)
 		}
 	}
