@@ -2,13 +2,16 @@
 // reference strands (one per line), perturbs them with a configurable
 // channel tier, and writes the resulting clustered dataset.
 //
-// The channel can be parameterised two ways:
+// The channel can be parameterised three ways:
 //
 //   - directly, with -sub/-ins/-del (+ optional -spatial and -longdel),
 //   - as a multi-stage pipeline, with -stages (the channel.ParseStages
-//     DSL); pool stages bind over the coverage model,
+//     DSL); pool and template stages bind over the coverage model,
 //   - or data-driven, with -calibrate <dataset>: the full calibration
 //     pipeline of the paper fits the chosen -tier from real clusters.
+//
+// -faults appends more stages in the same DSL (dropout, zerocov,
+// truncate, contam, chimera, ...) after whichever channel was chosen.
 //
 // Usage:
 //
@@ -30,7 +33,6 @@ import (
 	"dnastore/internal/dist"
 	"dnastore/internal/dna"
 	"dnastore/internal/durable"
-	"dnastore/internal/faults"
 	"dnastore/internal/obs"
 	"dnastore/internal/profile"
 )
@@ -50,7 +52,7 @@ func main() {
 		calibrate  = flag.String("calibrate", "", "clusters file to fit the channel from (overrides -sub/-ins/-del)")
 		tier       = flag.String("tier", "second-order", "calibrated tier: naive, conditional, skew, second-order, dnasimulator, staged")
 		seed       = flag.Uint64("seed", 1, "random seed")
-		faultSpec  = flag.String("faults", "", "fault injection spec (e.g. dropout=0.1,truncate=0.3:0.5,contam=0.02,zerocov=10:5)")
+		faultSpec  = flag.String("faults", "", "stages appended after the channel's own, in the -stages DSL (e.g. dropout=0.1,truncate=0.3:0.5,contam=0.02,zerocov=10:5,chimera=0.05)")
 		ckptPath   = flag.String("checkpoint", "", "journal completed clusters to this file; rerunning resumes instead of restarting")
 		crashAfter = flag.Int("crash-after", 0, "crash drill: kill the process after N checkpoint commits (requires -checkpoint)")
 		timeout    = flag.Duration("timeout", 0, "abort the run after this long; the partial dataset is still written (0 = unbounded)")
@@ -103,30 +105,15 @@ func main() {
 		ch = m
 	}
 
-	var cov channel.CoverageModel
-	switch *covModel {
-	case "fixed":
-		cov = channel.FixedCoverage(int(*coverage))
-	case "negbin":
-		cov = channel.NegBinCoverage{Mean: *coverage, Dispersion: 2.5}
-	case "poisson":
-		cov = channel.PoissonCoverage(*coverage)
-	case "normal":
-		cov = channel.NormalCoverage{Mean: *coverage, SD: *coverage / 3}
-	default:
-		fail(fmt.Errorf("unknown coverage model %q", *covModel))
-	}
-	// A staged channel's pool stages (PCR skew, breakage) rewrite the read
-	// count; bind them before faults so injectors stay outermost.
-	if pipe, ok := ch.(channel.Pipeline); ok {
-		cov = pipe.BindCoverage(cov)
-	}
-
-	spec, err := faults.ParseSpec(*faultSpec)
+	cov, err := channel.NewCoverage(*covModel, *coverage)
 	if err != nil {
 		fail(err)
 	}
-	ch, cov = spec.Wrap(ch, cov)
+	extra, err := channel.ParseStages(*faultSpec)
+	if err != nil {
+		fail(err)
+	}
+	ch, cov = channel.Compose(ch, cov, extra)
 
 	// SIGINT drains gracefully: the simulator stops between clusters and
 	// the partial dataset is still written out. -timeout bounds the run the

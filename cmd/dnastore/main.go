@@ -11,9 +11,10 @@
 //
 // get runs the resilient read path: on decode failure it re-sequences with
 // escalated coverage (-retries, -backoff) and a fresh derived seed before
-// giving up with an erasure report. -faults injects pathological channel
-// conditions (cluster dropout, read truncation, contamination, dead
-// regions) for drills — see internal/faults for the spec syntax.
+// giving up with an erasure report. -faults appends pathological channel
+// stages (cluster dropout, read truncation, contamination, dead regions,
+// chimeras) after the sequencer for drills, in the channel.ParseStages
+// DSL.
 package main
 
 import (
@@ -29,7 +30,6 @@ import (
 	"dnastore/internal/codec"
 	"dnastore/internal/dist"
 	"dnastore/internal/durable"
-	"dnastore/internal/faults"
 	"dnastore/internal/obs"
 	"dnastore/internal/store"
 )
@@ -153,7 +153,7 @@ func cmdGet(args []string) error {
 	coverage := fs.Float64("coverage", 14, "mean sequencing coverage")
 	seed := fs.Uint64("seed", 7, "sequencing seed")
 	skew := fs.Bool("skew", false, "apply the Nanopore terminal error skew")
-	faultSpec := fs.String("faults", "", "fault injection spec (e.g. dropout=0.1,truncate=0.3)")
+	faultSpec := fs.String("faults", "", "stages appended after the sequencer, in the -stages DSL (e.g. dropout=0.1,truncate=0.3)")
 	retries := fs.Int("retries", 2, "re-sequencing attempts after a failed decode")
 	backoff := fs.Float64("backoff", 2.0, "coverage escalation factor per retry")
 	timeout := fs.Duration("timeout", 0, "give up on the retrieval after this long (0 = unbounded)")
@@ -163,7 +163,7 @@ func cmdGet(args []string) error {
 		return fmt.Errorf("get needs -key and -o")
 	}
 	logger := logOpts.Logger("dnastore")
-	spec, err := faults.ParseSpec(*faultSpec)
+	extra, err := channel.ParseStages(*faultSpec)
 	if err != nil {
 		return err
 	}
@@ -194,7 +194,7 @@ func cmdGet(args []string) error {
 		mean := *coverage * scale
 		fmt.Fprintf(os.Stderr, "attempt %d: sequencing at %.1fx coverage, %.1f%% error\n",
 			attempt, mean, *errRate*100)
-		return spec.Wrap(m, channel.NegBinCoverage{Mean: mean, Dispersion: 6})
+		return channel.Compose(m, channel.NegBinCoverage{Mean: mean, Dispersion: 6}, extra)
 	}
 	pol := store.RetryPolicy{
 		MaxAttempts: *retries + 1,

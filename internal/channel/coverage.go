@@ -17,6 +17,23 @@ type CoverageModel interface {
 	Name() string
 }
 
+// NewCoverage builds a coverage model by name around a mean read count:
+// fixed (also the empty name), negbin with dispersion 2.5, poisson, or
+// normal with SD mean/3.
+func NewCoverage(name string, mean float64) (CoverageModel, error) {
+	switch name {
+	case "", "fixed":
+		return FixedCoverage(int(mean)), nil
+	case "negbin":
+		return NegBinCoverage{Mean: mean, Dispersion: 2.5}, nil
+	case "poisson":
+		return PoissonCoverage(mean), nil
+	case "normal":
+		return NormalCoverage{Mean: mean, SD: mean / 3}, nil
+	}
+	return nil, fmt.Errorf("unknown coverage model %q", name)
+}
+
 // FixedCoverage gives every cluster exactly N reads.
 type FixedCoverage int
 

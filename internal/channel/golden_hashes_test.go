@@ -17,4 +17,17 @@ const (
 	// draw-order contract (coverage draw → pool draws → read draws).
 	goldenHashPipeline     = "428becd77d5e7a6c647c192db63cf6fb"
 	goldenHashPipelinePool = "396dadc08aabddc80baef43aaf821bd8"
+	// Fault stages, captured at the commit before the fault injectors
+	// became pipeline stages, from the old wrapper types over the same
+	// naive channel: truncation and the dead region keep their draws under
+	// either coverage base, and dropout over FixedCoverage keeps its one
+	// draw per cluster.
+	goldenHashTruncateFixed  = "da0025e08c8051537b489775a0c02e88"
+	goldenHashTruncateNegBin = "54747bf79cf97127c416b15bda58a02c"
+	goldenHashZeroCovFixed   = "243a074d74c3e90f0d7e11f9b8f8a241"
+	goldenHashZeroCovNegBin  = "1b343b8fcc087038cd62ced9a12478a9"
+	goldenHashDropoutFixed   = "29e58c9758d30e093465969339119b08"
+	// The chimera template stage, captured when it landed: pins the
+	// coverage → pool → template → reads draw order.
+	goldenHashChimeraNegBin = "edac0adfed49b5747c49a25b0d658fcf"
 )

@@ -77,10 +77,41 @@ func goldenModelHighRate() *Model {
 	return m.WithSpatial(dist.TerminalSkew{StartPositions: 2, EndPositions: 2, StartBoost: 6, EndBoost: 12})
 }
 
+// goldenFaulted composes fault stages over the golden naive channel.
+func goldenFaulted(cov CoverageModel, spec string) (Channel, CoverageModel) {
+	extra, err := ParseStages(spec)
+	if err != nil {
+		panic(err)
+	}
+	return Compose(NewNaive("golden-naive", Rates{Sub: 0.01, Ins: 0.005, Del: 0.02}), cov, extra)
+}
+
 // goldenCases is the pinned workload matrix. Hashes are filled in below.
 func goldenCases() []goldenCase {
 	physical := NewPhysicalPipeline("golden-physical", 0.059, 100)
-	return []goldenCase{
+	fixed, negbin := FixedCoverage(6), NegBinCoverage{Mean: 8, Dispersion: 2.5}
+	faulted := []struct {
+		name, spec string
+		cov        CoverageModel
+		hash       string
+	}{
+		{"truncate-fixed", "truncate=0.3:0.4", fixed, goldenHashTruncateFixed},
+		{"truncate-negbin", "truncate=0.3:0.4", negbin, goldenHashTruncateNegBin},
+		{"zerocov-fixed", "zerocov=5:3", fixed, goldenHashZeroCovFixed},
+		{"zerocov-negbin", "zerocov=5:3", negbin, goldenHashZeroCovNegBin},
+		{"dropout-fixed", "dropout=0.15", fixed, goldenHashDropoutFixed},
+		{"chimera-negbin", "chimera=0.1", negbin, goldenHashChimeraNegBin},
+	}
+	var cases []goldenCase
+	for _, f := range faulted {
+		ch, cov := goldenFaulted(f.cov, f.spec)
+		cases = append(cases, goldenCase{
+			name: f.name, channel: ch, coverage: cov,
+			clusters: 60, refLen: 110, seed: 37,
+			hash: f.hash,
+		})
+	}
+	return append(cases, []goldenCase{
 		{
 			name:     "naive",
 			channel:  NewNaive("golden-naive", Rates{Sub: 0.01, Ins: 0.005, Del: 0.02}),
@@ -140,7 +171,7 @@ func goldenCases() []goldenCase {
 			clusters: 40, refLen: 110, seed: 31,
 			hash: goldenHashPipelinePool,
 		},
-	}
+	}...)
 }
 
 // hashDataset folds every reference and read into one digest.

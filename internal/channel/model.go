@@ -121,6 +121,16 @@ func NewNaive(label string, r Rates) *Model {
 	return m
 }
 
+// validateRates checks every per-base rate row with Rates.Validate.
+func (m *Model) validateRates() error {
+	for _, r := range m.PerBase {
+		if err := r.Validate(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // AggregateRate returns the mean per-position error probability assuming a
 // uniform base composition: the average over bases of the conditional total
 // plus the long-deletion start probability and the second-order mass.

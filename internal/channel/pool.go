@@ -14,14 +14,16 @@ import (
 // the pool, which is where PCR amplification skew, strand breakage and
 // decay dropout actually act (Heckel et al.). Pipeline.BindCoverage
 // layers the pipeline's pool stages over a base CoverageModel in stage
-// order.
+// order, together with its template stages.
 //
-// The RNG draw-order contract (DESIGN.md §16): all pool draws come from
-// the per-cluster RNG, after the base coverage draw and before any read
-// is generated. The number of draws a pool stage consumes may depend only
-// on the cluster index and the incoming count — never on which worker or
-// shard runs the cluster — so pipeline output stays deterministic,
-// worker-invariant and fleet-merge-safe.
+// The RNG draw-order contract (DESIGN.md §16): every cluster draws from
+// its own per-cluster RNG in the order coverage → pool → template →
+// reads. Pool draws come after the base coverage draw, template draws
+// after the pool draws, and both before any read is generated. The number
+// of draws a pool or template stage consumes may depend only on the
+// cluster index, the reference set and the incoming count or template —
+// never on which worker or shard runs the cluster — so pipeline output
+// stays deterministic, worker-invariant and fleet-merge-safe.
 
 // PoolStage is a Stage that transforms the cluster population.
 type PoolStage interface {
@@ -32,24 +34,41 @@ type PoolStage interface {
 	PoolCoverage(clusterIndex, n int, r *rng.RNG) int
 }
 
-// BindCoverage layers the pipeline's pool stages over a base coverage
-// model in stage order. Each cluster samples the base coverage first,
-// then lets every pool stage rewrite the count — all from the
-// per-cluster RNG, before read generation. Pipelines without pool stages
-// return base unchanged, so binding is always safe (and keeps existing
-// coverage names and draw streams byte-identical for strand-only
-// pipelines).
+// TemplateStage is the template shape of Stage: it picks the molecule
+// each read starts from, for effects no single strand produces on its own
+// — PCR template switching splices two strands into one chimera. It sees
+// the whole reference set and the global cluster index, and its draws
+// come from the per-cluster RNG after the pool draws and before any read
+// draw, so it shards and checkpoints like every other stage.
+type TemplateStage interface {
+	Stage
+	// Template returns the molecule a read of cluster clusterIndex starts
+	// from, given the molecule t picked by the earlier template stages
+	// (refs[clusterIndex] for the first), drawing any randomness from r.
+	Template(refs []dna.Strand, clusterIndex int, t dna.Strand, r *rng.RNG) dna.Strand
+}
+
+// BindCoverage layers the pipeline's pool and template stages over a
+// base coverage model in stage order. Each cluster samples the base
+// coverage first, then lets every pool stage rewrite the count — all from
+// the per-cluster RNG, before read generation; the Simulator then draws
+// each read's template from the bound template stages. Pipelines without
+// pool or template stages return base unchanged, so binding is always
+// safe (and keeps existing coverage names and draw streams byte-identical
+// for strand-only pipelines).
 func (p Pipeline) BindCoverage(base CoverageModel) CoverageModel {
-	var pool []PoolStage
+	pc := pooledCoverage{base: base}
 	for _, st := range p.Stages {
 		if ps, ok := st.(PoolStage); ok {
-			pool = append(pool, ps)
+			pc.stages = append(pc.stages, ps)
+		}
+		if ts, ok := st.(TemplateStage); ok {
+			pc.templates = append(pc.templates, ts)
 		}
 	}
-	if len(pool) == 0 {
+	if len(pc.stages) == 0 && len(pc.templates) == 0 {
 		return base
 	}
-	pc := pooledCoverage{base: base, stages: pool}
 	if ra, ok := base.(RefAwareCoverage); ok {
 		return refAwarePooledCoverage{pooledCoverage: pc, ra: ra}
 	}
@@ -58,8 +77,9 @@ func (p Pipeline) BindCoverage(base CoverageModel) CoverageModel {
 
 // pooledCoverage is the CoverageModel BindCoverage builds.
 type pooledCoverage struct {
-	base   CoverageModel
-	stages []PoolStage
+	base      CoverageModel
+	stages    []PoolStage
+	templates []TemplateStage
 }
 
 // Sample implements CoverageModel.
@@ -78,13 +98,29 @@ func (p pooledCoverage) apply(i, n int, r *rng.RNG) int {
 	return n
 }
 
-// Name implements CoverageModel.
+// Name implements CoverageModel: pool stages, then template stages — the
+// order their draws come in.
 func (p pooledCoverage) Name() string {
-	names := make([]string, len(p.stages))
-	for i, st := range p.stages {
-		names[i] = st.StageName()
+	names := make([]string, 0, len(p.stages)+len(p.templates))
+	for _, st := range p.stages {
+		names = append(names, st.StageName())
+	}
+	for _, st := range p.templates {
+		names = append(names, st.StageName())
 	}
 	return fmt.Sprintf("%s+pool(%s)", p.base.Name(), strings.Join(names, "→"))
+}
+
+// templateStages returns the template stages bound into cov, nil when
+// none are.
+func templateStages(cov CoverageModel) []TemplateStage {
+	switch c := cov.(type) {
+	case pooledCoverage:
+		return c.templates
+	case refAwarePooledCoverage:
+		return c.templates
+	}
+	return nil
 }
 
 // refAwarePooledCoverage preserves the base model's RefAwareCoverage

@@ -34,6 +34,11 @@ type Scratch struct {
 	// a whole multi-stage transmit stays allocation-free once warm.
 	stageOut   []byte
 	stageCodes []dna.Base
+	// templates and templateCodes hold a cluster's per-read template
+	// molecules and the decoded codes of the one being transmitted, when
+	// the coverage model binds template stages (simulateCluster).
+	templates     []dna.Strand
+	templateCodes []dna.Base
 }
 
 // RefBases returns ref as 2-bit base codes, reusing the arena's buffer.

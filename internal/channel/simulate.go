@@ -168,6 +168,13 @@ func (s Simulator) simulateWith(ctx context.Context, name string, refs []dna.Str
 	if first < 0 || count < 0 || first+count > len(refs) {
 		return nil, fmt.Errorf("channel: cluster range [%d, %d) outside [0, %d)", first, first+count, len(refs))
 	}
+	tmpl := templateStages(s.Coverage)
+	for _, ts := range tmpl {
+		// ParseStages refuses these; a hand-built stage is checked here.
+		if c, ok := ts.(Chimera); ok && !(c.P >= 0 && c.P <= 1) {
+			return nil, fmt.Errorf("channel: chimera probability %g out of [0,1]", c.P)
+		}
+	}
 	ds := &dataset.Dataset{Name: name, Clusters: make([]dataset.Cluster, count)}
 	for i := range ds.Clusters {
 		// Pre-fill references so skipped or failed clusters degrade to an
@@ -241,7 +248,7 @@ func (s Simulator) simulateWith(ctx context.Context, name string, refs []dna.Str
 						continue
 					}
 				}
-				if err := s.simulateCluster(ds, refs, gi, li, seed, at, &scr); err != nil {
+				if err := s.simulateCluster(ds, refs, gi, li, seed, at, tmpl, &scr); err != nil {
 					mu.Lock()
 					clusterErrs = append(clusterErrs, ClusterError{Index: gi, Err: err})
 					mu.Unlock()
@@ -276,10 +283,10 @@ func (s Simulator) simulateWith(ctx context.Context, name string, refs []dna.Str
 // simulateCluster generates the reads of global cluster gi into dataset
 // slot li, converting a panic in the channel or coverage model into a
 // returned error. at is the channel's AppendTransmitter view (nil when
-// unsupported) and scr the calling worker's arena; the fast path decodes
-// the reference once and reuses the arena's output buffer across every
-// read in the cluster.
-func (s Simulator) simulateCluster(ds *dataset.Dataset, refs []dna.Strand, gi, li int, seed uint64, at AppendTransmitter, scr *Scratch) (err error) {
+// unsupported), tmpl the template stages bound into the coverage model and
+// scr the calling worker's arena; the fast path decodes the reference once
+// and reuses the arena's output buffer across every read in the cluster.
+func (s Simulator) simulateCluster(ds *dataset.Dataset, refs []dna.Strand, gi, li int, seed uint64, at AppendTransmitter, tmpl []TemplateStage, scr *Scratch) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("panic: %v", p)
@@ -295,6 +302,21 @@ func (s Simulator) simulateCluster(ds *dataset.Dataset, refs []dna.Strand, gi, l
 	} else {
 		n = s.Coverage.Sample(gi, r)
 	}
+	// Template draws: every read's starting molecule is picked after the
+	// pool draws and before the first read draw. Without template stages
+	// every read starts from the reference and templates stays nil.
+	var templates []dna.Strand
+	if len(tmpl) > 0 {
+		templates = scr.templates[:0]
+		for k := 0; k < n; k++ {
+			t := refs[gi]
+			for _, st := range tmpl {
+				t = st.Template(refs, gi, t, r)
+			}
+			templates = append(templates, t)
+		}
+		scr.templates = templates
+	}
 	var reads []dna.Strand
 	if at != nil {
 		// Fast path: decode the reference once, generate every read into
@@ -308,7 +330,12 @@ func (s Simulator) simulateCluster(ds *dataset.Dataset, refs []dna.Strand, gi, l
 		scr.out = scr.out[:0]
 		scr.ends = scr.ends[:0]
 		for k := 0; k < n; k++ {
-			scr.out = at.AppendTransmit(scr.out, codes, r, scr)
+			src := codes
+			if templates != nil && templates[k] != refs[gi] {
+				scr.templateCodes = templates[k].AppendBases(scr.templateCodes[:0])
+				src = scr.templateCodes
+			}
+			scr.out = at.AppendTransmit(scr.out, src, r, scr)
 			scr.ends = append(scr.ends, len(scr.out))
 		}
 		blob := dna.Strand(scr.out)
@@ -321,7 +348,11 @@ func (s Simulator) simulateCluster(ds *dataset.Dataset, refs []dna.Strand, gi, l
 	} else {
 		reads = make([]dna.Strand, 0, n)
 		for k := 0; k < n; k++ {
-			reads = append(reads, s.Channel.Transmit(refs[gi], r))
+			t := refs[gi]
+			if templates != nil {
+				t = templates[k]
+			}
+			reads = append(reads, s.Channel.Transmit(t, r))
 		}
 	}
 	ds.Clusters[li] = dataset.Cluster{Ref: refs[gi], Reads: reads}

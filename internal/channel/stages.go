@@ -1,6 +1,7 @@
 package channel
 
 import (
+	"slices"
 	"strings"
 
 	"dnastore/internal/dist"
@@ -8,20 +9,25 @@ import (
 	"dnastore/internal/rng"
 )
 
-// Stage is one physical step of the storage channel. Stages come in two
+// Stage is one physical step of the storage channel. Stages come in three
 // shapes, selected by interface:
 //
-//   - per-strand error stages implement Channel: they perturb individual
-//     reads (synthesis errors, sequencing noise). Stages that also
-//     implement AppendTransmitter run on the zero-allocation kernel, and
-//     the pipeline keeps draw-for-draw parity with chaining the stages'
-//     Transmit calls by hand.
-//   - pool stages implement PoolStage (pool.go): they transform the
-//     cluster population before any read is generated — PCR amplification
-//     skew, strand breakage, decay dropout — by rewriting the cluster's
-//     read count. Pipeline.BindCoverage layers them over a CoverageModel.
+//   - strand stages implement Channel: they perturb individual reads
+//     (synthesis errors, sequencing noise, truncation, contamination).
+//     Stages that also implement AppendTransmitter run on the
+//     zero-allocation kernel, and the pipeline keeps draw-for-draw parity
+//     with chaining the stages' Transmit calls by hand.
+//   - pool (count) stages implement PoolStage (pool.go): they transform
+//     the cluster population before any read is generated — PCR
+//     amplification skew, strand breakage, dropout — by rewriting the
+//     cluster's read count.
+//   - template stages implement TemplateStage (pool.go): they pick the
+//     molecule each read starts from, seeing the whole reference set —
+//     PCR template switching (chimeras).
 //
-// One concrete type may be both shapes at once: PCRAmplification adds
+// Pipeline.BindCoverage binds the pool and template stages over a
+// CoverageModel; Compose does that binding for every caller. One
+// concrete type may be several shapes at once: PCRAmplification adds
 // per-cycle substitutions to every strand and lognormal amplification
 // skew to the pool.
 type Stage interface {
@@ -48,8 +54,11 @@ type strandStage struct{ Channel }
 func (s strandStage) StageName() string { return s.Channel.Name() }
 
 // Pipeline composes stages in physical order: the output of strand stage
-// k is the input of strand stage k+1, and pool stages rewrite the
-// cluster's read count in the same order (BindCoverage). This realises
+// k is the input of strand stage k+1, pool stages rewrite the cluster's
+// read count in the same order, and template stages pick each read's
+// starting molecule in the same order. Pool and template stages act only
+// once bound over a coverage model (BindCoverage, Compose) and run by a
+// Simulator; Transmit applies the strand stages alone. This realises
 // the paper's §4.2 recommendation — "an ideal simulator should allow for
 // a multi-stage, composable simulation process" — with one stage per
 // physical step (synthesis → PCR → storage → sequencing) instead of a
@@ -156,6 +165,30 @@ func appendBaseCodes(dst []dna.Base, letters []byte) []dna.Base {
 		dst = append(dst, dna.MustBase(c))
 	}
 	return dst
+}
+
+// Compose appends the extra stages after ch and binds every pool and
+// template stage of the result over cov, once. A Pipeline ch is
+// flattened rather than nested, so its own pool and template stages stay
+// bound. The composed channel is named after ch and the extra stages;
+// with no extra stages ch keeps its name, and only a Pipeline ch gets its
+// stages bound — so a run without extra stages keeps the description its
+// checkpoint journals were written under.
+func Compose(ch Channel, cov CoverageModel, extra StageList) (Channel, CoverageModel) {
+	pipe, isPipe := ch.(Pipeline)
+	if len(extra) == 0 {
+		if isPipe {
+			return ch, pipe.BindCoverage(cov)
+		}
+		return ch, cov
+	}
+	stages := []Stage{AsStage(ch)}
+	if isPipe {
+		stages = slices.Clip(pipe.Stages)
+	}
+	more := extra.Build("")
+	pipe = Pipeline{Label: ch.Name() + "→" + more.Name(), Stages: append(stages, more.Stages...)}
+	return pipe, pipe.BindCoverage(cov)
 }
 
 // AggregateRate returns the approximate combined per-base error rate of

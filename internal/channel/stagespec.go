@@ -9,14 +9,17 @@ import (
 	"dnastore/internal/dist"
 )
 
-// The stages DSL: the CLI- and spec-facing form of Pipeline, mirroring the
-// faults DSL syntax (comma-separated key=value directives, colon-separated
-// sub-fields). A stage list is parsed once, validated eagerly, and built
-// into a Pipeline; the textual form travels verbatim inside SimulateSpec,
-// so two jobs with the same stage string produce the same fingerprint and
-// share shard caches across dnasimd and the fleet.
+// The stages DSL: the CLI- and spec-facing form of Pipeline, one language
+// for every channel effect (comma-separated key=value directives,
+// colon-separated sub-fields). It is read from -stages and from -faults,
+// whose stages Compose appends after the channel's own. A stage list is
+// parsed once, validated eagerly, and built into a Pipeline; the textual
+// form travels verbatim inside SimulateSpec, so two jobs with the same
+// stage string produce the same fingerprint and share shard caches across
+// dnasimd and the fleet.
 //
-// Grammar — stages apply in listed order:
+// Grammar — stages apply in listed order within their shape (strand,
+// pool, template), and a repeated directive composes:
 //
 //	synthesis=RATE                deletion-dominant, 3'-skewed (NewSynthesisStage)
 //	pcr=CYCLES:SUBRATE[:EFFSD]    per-cycle substitutions; with EFFSD also
@@ -29,12 +32,22 @@ import (
 //	                              SPATIAL is a dist.ByName name
 //	                              (uniform | a-shape | v-shape | terminal-skew)
 //	naive=SUB:INS:DEL             uniform per-base rates (NewNaive)
+//	dropout=P                     pool: zero whole clusters (Dropout)
+//	zerocov=START:LEN             pool: zero a cluster-index region (ZeroCoverage)
+//	truncate=P[:MIN]              strand: cut reads short (Truncation)
+//	contam=P                      strand: foreign or alien-tailed reads (Contamination)
+//	chimera=P                     template: PCR template switching (Chimera)
+//
+// Every probability and rate lies in [0,1], and every stage's per-base
+// rates must pass Rates.Validate — the same bound the flat sub/ins/del
+// channel enforces.
 //
 // e.g. "synthesis=0.0118,pcr=30:0.0001:0.02,aging=100:0.00003:0.00133,sequencing=0.0413:terminal-skew".
 
 // StageSpec is one parsed directive.
 type StageSpec struct {
-	// Kind is the directive key: synthesis, pcr, aging, sequencing, naive.
+	// Kind is the directive key: synthesis, pcr, aging, sequencing, naive,
+	// dropout, zerocov, truncate, contam or chimera.
 	Kind string
 	// Rate is the aggregate rate for synthesis and sequencing.
 	Rate float64
@@ -53,6 +66,11 @@ type StageSpec struct {
 	Spatial string
 	// Sub, Ins, Del are the naive per-base rates.
 	Sub, Ins, Del float64
+	// P is the dropout, truncate, contam or chimera probability; MinFrac
+	// the truncate prefix floor (0 when absent).
+	P, MinFrac float64
+	// Start and Len delimit the zerocov region.
+	Start, Len int
 }
 
 // StageList is a parsed, validated stage pipeline specification.
@@ -148,8 +166,45 @@ func ParseStages(s string) (StageList, error) {
 				rates[i] = r
 			}
 			sp.Sub, sp.Ins, sp.Del = rates[0], rates[1], rates[2]
+		case "dropout", "contam", "chimera":
+			p, err := parseStageRate(key, val)
+			if err != nil {
+				return nil, err
+			}
+			sp.P = p
+		case "truncate":
+			pStr, minStr, hasMin := strings.Cut(val, ":")
+			p, err := parseStageRate(key, pStr)
+			if err != nil {
+				return nil, err
+			}
+			sp.P = p
+			if hasMin {
+				m, err := strconv.ParseFloat(minStr, 64)
+				if err != nil || math.IsNaN(m) || m <= 0 || m >= 1 {
+					return nil, fmt.Errorf("stages: truncate min fraction %q must be in (0,1)", minStr)
+				}
+				sp.MinFrac = m
+			}
+		case "zerocov":
+			startStr, lenStr, _ := strings.Cut(val, ":")
+			start, err1 := strconv.Atoi(startStr)
+			length, err2 := strconv.Atoi(lenStr)
+			if err1 != nil || err2 != nil || start < 0 || length <= 0 {
+				return nil, fmt.Errorf("stages: zerocov needs START:LEN with START >= 0 and LEN > 0, got %q", val)
+			}
+			sp.Start, sp.Len = start, length
 		default:
 			return nil, fmt.Errorf("stages: unknown stage %q", key)
+		}
+		// Stage constructors scale their inputs (pcr multiplies by the
+		// cycle count, aging by the years), so a spec whose fields are
+		// each in range can still build a channel whose per-base rates
+		// are not; refuse it here, as the flat channel does.
+		if m, ok := sp.stage().(interface{ validateRates() error }); ok {
+			if err := m.validateRates(); err != nil {
+				return nil, fmt.Errorf("stages: %s: %w", strings.TrimSpace(item), err)
+			}
 		}
 		list = append(list, sp)
 	}
@@ -175,34 +230,46 @@ func (l StageList) Empty() bool { return len(l) == 0 }
 func (l StageList) Build(label string) Pipeline {
 	stages := make([]Stage, 0, len(l))
 	for _, sp := range l {
-		switch sp.Kind {
-		case "synthesis":
-			stages = append(stages, NewSynthesisStage(sp.Rate))
-		case "pcr":
-			if sp.HasPool {
-				stages = append(stages, NewPCRAmplification(sp.Cycles, sp.SubRate, sp.EffSD))
-			} else {
-				stages = append(stages, NewPCRStage(sp.Cycles, sp.SubRate))
-			}
-		case "aging":
-			if sp.HasPool {
-				stages = append(stages, NewAgingStage(sp.Years, sp.RatePerYear, sp.Breakage))
-			} else {
-				stages = append(stages, NewDecayStage(sp.Years, sp.RatePerYear))
-			}
-		case "sequencing":
-			var spatial dist.Spatial
-			if sp.Spatial != "" {
-				spatial, _ = dist.ByName(sp.Spatial) // validated at parse time
-			}
-			stages = append(stages, NewSequencingStage(NanoporeMix(sp.Rate), PaperLongDeletion(), spatial))
-		case "naive":
-			stages = append(stages, NewNaive("naive", Rates{Sub: sp.Sub, Ins: sp.Ins, Del: sp.Del}))
-		default:
-			panic(fmt.Sprintf("stages: unknown stage kind %q", sp.Kind))
-		}
+		stages = append(stages, sp.stage())
 	}
 	return Pipeline{Label: label, Stages: stages}
+}
+
+// stage builds the one stage the directive names.
+func (sp StageSpec) stage() Stage {
+	switch sp.Kind {
+	case "synthesis":
+		return NewSynthesisStage(sp.Rate)
+	case "pcr":
+		if sp.HasPool {
+			return NewPCRAmplification(sp.Cycles, sp.SubRate, sp.EffSD)
+		}
+		return NewPCRStage(sp.Cycles, sp.SubRate)
+	case "aging":
+		if sp.HasPool {
+			return NewAgingStage(sp.Years, sp.RatePerYear, sp.Breakage)
+		}
+		return NewDecayStage(sp.Years, sp.RatePerYear)
+	case "sequencing":
+		var spatial dist.Spatial
+		if sp.Spatial != "" {
+			spatial, _ = dist.ByName(sp.Spatial) // validated at parse time
+		}
+		return NewSequencingStage(NanoporeMix(sp.Rate), PaperLongDeletion(), spatial)
+	case "naive":
+		return NewNaive("naive", Rates{Sub: sp.Sub, Ins: sp.Ins, Del: sp.Del})
+	case "dropout":
+		return Dropout{P: sp.P}
+	case "zerocov":
+		return ZeroCoverage{Start: sp.Start, Len: sp.Len}
+	case "truncate":
+		return Truncation{P: sp.P, MinFrac: sp.MinFrac}
+	case "contam":
+		return Contamination{P: sp.P}
+	case "chimera":
+		return Chimera{P: sp.P}
+	}
+	panic(fmt.Sprintf("stages: unknown stage kind %q", sp.Kind))
 }
 
 // String renders the list back in its textual syntax; ParseStages(l.String())
@@ -233,6 +300,16 @@ func (l StageList) String() string {
 			}
 		case "naive":
 			parts = append(parts, fmt.Sprintf("naive=%g:%g:%g", sp.Sub, sp.Ins, sp.Del))
+		case "dropout", "contam", "chimera":
+			parts = append(parts, fmt.Sprintf("%s=%g", sp.Kind, sp.P))
+		case "truncate":
+			if sp.MinFrac > 0 {
+				parts = append(parts, fmt.Sprintf("truncate=%g:%g", sp.P, sp.MinFrac))
+			} else {
+				parts = append(parts, fmt.Sprintf("truncate=%g", sp.P))
+			}
+		case "zerocov":
+			parts = append(parts, fmt.Sprintf("zerocov=%d:%d", sp.Start, sp.Len))
 		}
 	}
 	return strings.Join(parts, ",")

@@ -19,6 +19,13 @@ func TestParseStagesRoundTrip(t *testing.T) {
 		"sequencing=0.0413:terminal-skew",
 		"naive=0.02:0.01:0.03",
 		"synthesis=0.0118,pcr=30:0.0001:0.02,aging=100:3e-05:0.00133,sequencing=0.0413:terminal-skew",
+		"dropout=0.1",
+		"zerocov=10:5",
+		"truncate=0.3",
+		"truncate=0.3:0.5",
+		"contam=0.02",
+		"chimera=0.05",
+		"naive=0.01:0:0.02,chimera=0.1,dropout=0.1,dropout=0.2,contam=0.02,truncate=0.3:0.5",
 	} {
 		list, err := ParseStages(spec)
 		if err != nil {
@@ -52,9 +59,84 @@ func TestParseStagesRejects(t *testing.T) {
 		"aging=-1:0.1",             // negative years
 		"sequencing=0.04:sideways", // unknown spatial
 		"naive=0.1:0.1",            // missing del
+		"dropout",                  // not key=value
+		"dropout=1.5",              // > 1
+		"dropout=-0.1",             // negative
+		"dropout=x",                // not a number
+		"truncate=0.3:1.5",         // min fraction >= 1
+		"zerocov=5",                // missing length
+		"zerocov=-1:3",             // negative start
+		"zerocov=2:0",              // empty region
+		"chimera=1.5",              // > 1
 	} {
 		if _, err := ParseStages(spec); err == nil {
 			t.Errorf("ParseStages(%q) accepted", spec)
+		}
+	}
+}
+
+// TestParseStagesRejectsOverfullRates: each field is in range, but the
+// built stage's per-base rates are not — the flat sub/ins/del channel
+// refuses the same rates through Rates.Validate, so the DSL must too
+// instead of letting the transmit plan clamp every position to 0.99.
+func TestParseStagesRejectsOverfullRates(t *testing.T) {
+	for _, spec := range []string{
+		"naive=0.5:0.5:0.5", // aggregate 1.5
+		"pcr=30:0.5",        // 30 cycles × 0.5 = 15
+		"aging=100:0.5",     // 100 years × 0.5 = 50
+		"synthesis=1",       // del+ins+sub = 1
+		"sequencing=1",      // Nanopore mix sums to 1
+	} {
+		if _, err := ParseStages(spec); err == nil {
+			t.Errorf("ParseStages(%q) accepted a channel Rates.Validate rejects", spec)
+		}
+	}
+}
+
+// TestParseStagesFaultDirectives: the fault and chimera directives parse
+// into their fields and render back.
+func TestParseStagesFaultDirectives(t *testing.T) {
+	list, err := ParseStages("dropout=0.1,truncate=0.3:0.5,contam=0.02,zerocov=10:5,chimera=0.05")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := StageList{
+		{Kind: "dropout", P: 0.1},
+		{Kind: "truncate", P: 0.3, MinFrac: 0.5},
+		{Kind: "contam", P: 0.02},
+		{Kind: "zerocov", Start: 10, Len: 5},
+		{Kind: "chimera", P: 0.05},
+	}
+	if len(list) != len(want) {
+		t.Fatalf("ParseStages = %+v, want %+v", list, want)
+	}
+	for i := range want {
+		if list[i] != want[i] {
+			t.Errorf("stage %d = %+v, want %+v", i, list[i], want[i])
+		}
+	}
+	if list.Empty() {
+		t.Error("populated list reported Empty")
+	}
+	again, err := ParseStages(list.String())
+	if err != nil || len(again) != len(list) {
+		t.Fatalf("round trip %q -> %+v (%v)", list.String(), again, err)
+	}
+	for i := range list {
+		if again[i] != list[i] {
+			t.Errorf("round trip stage %d = %+v, want %+v", i, again[i], list[i])
+		}
+	}
+	if l, err := ParseStages("  "); err != nil || !l.Empty() {
+		t.Errorf("blank spec: %+v, %v", l, err)
+	}
+	if l, err := ParseStages("truncate=0.4"); err != nil || l[0].P != 0.4 || l[0].MinFrac != 0 {
+		t.Errorf("truncate=0.4: %+v, %v", l, err)
+	}
+	pipe := list.Build("faults")
+	for i, want := range []string{"dropout(0.1)", "truncate(0.3:0.5)", "contam(0.02)", "zerocov(10:5)", "chimera(0.05)"} {
+		if got := pipe.Stages[i].StageName(); got != want {
+			t.Errorf("stage %d name = %q, want %q", i, got, want)
 		}
 	}
 }
@@ -122,18 +204,47 @@ func TestStageListBuildMatchesPhysicalPipeline(t *testing.T) {
 	}
 }
 
+// FuzzParseStages hardens the stages DSL parser, which reads operator
+// input directly from -stages, -faults and job specs. Arbitrary strings
+// must either parse into a list that round-trips exactly through String
+// and builds a working simulator, or error cleanly — never panic, and
+// never accept out-of-range probabilities or regions.
 func FuzzParseStages(f *testing.F) {
 	f.Add("synthesis=0.0118,pcr=30:0.0001:0.02,aging=100:3e-05:0.00133,sequencing=0.0413:terminal-skew")
 	f.Add("naive=0.02:0.01:0.03")
 	f.Add("pcr=30:0.0001")
 	f.Add("")
+	// Every kind, mixed shapes, and the rate bound. The -faults subset
+	// of the DSL has its own seeds in internal/faults (FuzzParseSpec).
+	f.Add("chimera=0.1")
+	f.Add("naive=0:0:0,chimera=1,chimera=0.5")
+	f.Add("contam=1,truncate=0.3")
+	f.Add("zerocov=9223372036854775807:1")
+	f.Add("naive=0.5:0.5:0.5")
+	f.Add("sequencing=0.2:v-shape,dropout=0.05,chimera=0.02")
 	f.Fuzz(func(t *testing.T, s string) {
 		list, err := ParseStages(s)
 		if err != nil {
+			if list != nil {
+				t.Errorf("ParseStages(%q) errored but returned %+v", s, list)
+			}
 			return
 		}
-		// Accepted specs must round-trip through String and build a
-		// working pipeline without panicking.
+		// Accepted stages must be in range: the stages treat these as
+		// probabilities and slice bounds without re-validating.
+		for _, sp := range list {
+			if sp.P < 0 || sp.P > 1 || sp.P != sp.P {
+				t.Errorf("ParseStages(%q) accepted P = %v", s, sp.P)
+			}
+			if sp.MinFrac != 0 && (sp.MinFrac <= 0 || sp.MinFrac >= 1) {
+				t.Errorf("ParseStages(%q) accepted MinFrac = %v", s, sp.MinFrac)
+			}
+			if sp.Start < 0 || sp.Len < 0 || (sp.Kind == "zerocov" && sp.Len == 0) {
+				t.Errorf("ParseStages(%q) accepted zerocov %d:%d", s, sp.Start, sp.Len)
+			}
+		}
+		// String must render a list that parses back to the same value —
+		// the CLIs echo specs and the server persists them in job specs.
 		again, err := ParseStages(list.String())
 		if err != nil {
 			t.Fatalf("String() output %q does not re-parse: %v", list.String(), err)
@@ -141,10 +252,25 @@ func FuzzParseStages(f *testing.F) {
 		if len(again) != len(list) {
 			t.Fatalf("round trip changed stage count: %d -> %d", len(list), len(again))
 		}
+		for i := range list {
+			if again[i] != list[i] {
+				t.Fatalf("round trip mismatch: %q -> %+v -> %q -> %+v", s, list[i], list.String(), again[i])
+			}
+		}
 		pipe := list.Build("fuzz")
 		ref := RandomReferences(1, 40, 1)[0]
 		if err := pipe.Transmit(ref, rng.New(1)).Validate(); err != nil {
 			t.Fatalf("built pipeline emits invalid reads: %v", err)
+		}
+		// Pool and template stages act only through a simulation run.
+		ch, cov := Compose(pipe, FixedCoverage(2), nil)
+		ds := Simulator{Channel: ch, Coverage: cov}.Simulate("fuzz", RandomReferences(3, 20, 2), 1)
+		for _, c := range ds.Clusters {
+			for _, read := range c.Reads {
+				if err := read.Validate(); err != nil {
+					t.Fatalf("simulated read invalid: %v", err)
+				}
+			}
 		}
 	})
 }

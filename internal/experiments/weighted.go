@@ -54,12 +54,10 @@ func ExtChimera(scale Scale) Table {
 		Headers: []string{"Chimera rate", "Iterative ps/pc (%)", "Weighted ps/pc (%)"},
 	}
 	refs := channel.RandomReferences(scale.Clusters, 110, scale.Seed+1800)
-	base := channel.Simulator{
-		Channel:  channel.NewNaive("n", channel.NanoporeMix(0.059)),
-		Coverage: channel.FixedCoverage(6),
-	}
+	m := channel.NewNaive("n", channel.NanoporeMix(0.059))
 	for i, p := range []float64{0, 0.05, 0.10, 0.20} {
-		ds := channel.ChimericSimulator{Simulator: base, P: p}.
+		ch, cov := channel.Compose(m, channel.FixedCoverage(6), channel.StageList{{Kind: "chimera", P: p}})
+		ds := channel.Simulator{Channel: ch, Coverage: cov}.
 			Simulate("chimera", refs, scale.Seed+1801+uint64(i))
 		row := []string{strconv.FormatFloat(p, 'g', -1, 64)}
 		for _, alg := range []recon.Reconstructor{recon.NewIterative(), recon.NewWeightedIterative()} {

@@ -1,3 +1,9 @@
+// Package faults provides the process-drill injectors and the file
+// corruptors of the DNA storage drills. Channel effects — dropout, dead
+// regions, truncation, contamination, chimeras — are pipeline stages in
+// internal/channel, written in its stages DSL; what stays here is what a
+// stage cannot be: transient runtime failures (a worker that panics, a
+// read that hangs, a slow channel) and damage to bytes on disk.
 package faults
 
 import (
@@ -10,9 +16,9 @@ import (
 	"dnastore/internal/rng"
 )
 
-// Process-level drill injectors. Unlike the channel/coverage injectors in
-// faults.go — which draw from the per-cluster RNG and therefore recur
-// identically on every retry — these model *transient* runtime failures:
+// Process-level drill injectors. Unlike the channel's fault stages —
+// which draw from the per-cluster RNG and therefore recur identically on
+// every retry — these model *transient* runtime failures:
 // a worker that panics a few times and then behaves, a read that hangs
 // until an operator intervenes, a channel that is merely slow. They keep
 // their state in shared atomic counters and never consume RNG draws, so a

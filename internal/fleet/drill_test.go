@@ -296,19 +296,36 @@ func TestFleetDrillNodeDeath(t *testing.T) {
 	}
 }
 
-// TestFleetDrillStagedPipeline runs the node-death drill on a staged
-// pipeline spec — synthesis → PCR (with amplification skew) → aging (with
-// breakage) → sequencing. The pool stages draw coverage from per-cluster
-// RNGs, so sharding must not move a single draw: the merged dataset must be
-// byte-identical to the single-node run even with a node blackholed
-// mid-shard, and a duplicate submission must hit the shard cache on the
-// pipeline fingerprints.
+// TestFleetDrillStagedPipeline runs the node-death drill on staged
+// pipeline specs — synthesis → PCR (with amplification skew) → aging (with
+// breakage) → sequencing, and the same pipeline with a chimera template
+// stage plus dropout and truncation fault stages. The pool and template
+// stages draw from per-cluster RNGs, so sharding must not move a single
+// draw: the merged dataset must be byte-identical to the single-node run
+// even with a node blackholed mid-shard, and a duplicate submission must
+// hit the shard cache on the pipeline fingerprints.
 func TestFleetDrillStagedPipeline(t *testing.T) {
-	spec := server.SimulateSpec{
-		NumRefs: 48, RefLen: 80, Seed: 17,
-		Stages:   "synthesis=0.0118,pcr=30:0.0001:0.02,aging=100:3e-05:0.00133,sequencing=0.0413:terminal-skew",
-		Coverage: 6, CoverageModel: "negbin",
+	const stages = "synthesis=0.0118,pcr=30:0.0001:0.02,aging=100:3e-05:0.00133,sequencing=0.0413:terminal-skew"
+	for name, spec := range map[string]server.SimulateSpec{
+		"staged": {
+			NumRefs: 48, RefLen: 80, Seed: 17,
+			Stages:   stages,
+			Coverage: 6, CoverageModel: "negbin",
+		},
+		"chimera-faults": {
+			NumRefs: 48, RefLen: 80, Seed: 17,
+			Stages:   stages + ",chimera=0.1",
+			Faults:   "dropout=0.1,truncate=0.3",
+			Coverage: 6, CoverageModel: "negbin",
+		},
+	} {
+		t.Run(name, func(t *testing.T) { stagedDrill(t, spec) })
 	}
+}
+
+// stagedDrill is the node-death drill of TestFleetDrillStagedPipeline on
+// one spec of 48 clusters.
+func stagedDrill(t *testing.T, spec server.SimulateSpec) {
 	want := groundTruth(t, spec)
 
 	w1 := startDrillWorker(t, t.TempDir(), false)

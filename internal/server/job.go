@@ -12,7 +12,6 @@ import (
 	"dnastore/internal/channel"
 	"dnastore/internal/dist"
 	"dnastore/internal/dna"
-	"dnastore/internal/faults"
 )
 
 // JobKind selects the workload a job runs.
@@ -86,7 +85,8 @@ type SimulateSpec struct {
 	// sampler (fixed, negbin, poisson, normal; fixed when empty).
 	Coverage      float64 `json:"coverage,omitempty"`
 	CoverageModel string  `json:"coverage_model,omitempty"`
-	// Faults is a fault-injection spec in the -faults DSL.
+	// Faults are more stages in the Stages DSL, run after the channel's
+	// own — the -faults flag of dnasim.
 	Faults string `json:"faults,omitempty"`
 	// ClusterFirst and ClusterCount select a cluster-range shard: only
 	// clusters [ClusterFirst, ClusterFirst+ClusterCount) are simulated,
@@ -146,17 +146,15 @@ func (sp *SimulateSpec) Validate() error {
 	if sp.Coverage <= 0 {
 		sp.Coverage = 6
 	}
-	switch sp.CoverageModel {
-	case "", "fixed", "negbin", "poisson", "normal":
-	default:
-		return fmt.Errorf("unknown coverage model %q", sp.CoverageModel)
+	if _, err := channel.NewCoverage(sp.CoverageModel, sp.Coverage); err != nil {
+		return err
 	}
 	if sp.Spatial != "" && sp.Spatial != "uniform" {
 		if _, err := dist.ByName(sp.Spatial); err != nil {
 			return err
 		}
 	}
-	if _, err := faults.ParseSpec(sp.Faults); err != nil {
+	if _, err := channel.ParseStages(sp.Faults); err != nil {
 		return err
 	}
 	switch {
@@ -185,10 +183,9 @@ func (sp *SimulateSpec) References() []dna.Strand {
 	return channel.RandomReferences(sp.NumRefs, sp.RefLen, sp.Seed^0xa5a5a5a5a5a5a5a5)
 }
 
-// Simulator builds the channel and coverage model the spec describes.
-// Stage pipelines bind their pool stages over the coverage model before the
-// fault injectors wrap both, so faults stay outermost — a dropout zeroes a
-// cluster no matter what the pool stages said.
+// Simulator builds the channel and coverage model the spec describes:
+// the fault stages run after the channel's own, and every pool and
+// template stage binds over the coverage model (channel.Compose).
 func (sp *SimulateSpec) Simulator() (channel.Channel, channel.CoverageModel, error) {
 	var ch channel.Channel
 	if sp.Stages != "" {
@@ -208,27 +205,15 @@ func (sp *SimulateSpec) Simulator() (channel.Channel, channel.CoverageModel, err
 			ch = m.WithSpatial(spat)
 		}
 	}
-	var cov channel.CoverageModel
-	switch sp.CoverageModel {
-	case "", "fixed":
-		cov = channel.FixedCoverage(int(sp.Coverage))
-	case "negbin":
-		cov = channel.NegBinCoverage{Mean: sp.Coverage, Dispersion: 2.5}
-	case "poisson":
-		cov = channel.PoissonCoverage(sp.Coverage)
-	case "normal":
-		cov = channel.NormalCoverage{Mean: sp.Coverage, SD: sp.Coverage / 3}
-	default:
-		return nil, nil, fmt.Errorf("unknown coverage model %q", sp.CoverageModel)
-	}
-	if pipe, ok := ch.(channel.Pipeline); ok {
-		cov = pipe.BindCoverage(cov)
-	}
-	spec, err := faults.ParseSpec(sp.Faults)
+	cov, err := channel.NewCoverage(sp.CoverageModel, sp.Coverage)
 	if err != nil {
 		return nil, nil, err
 	}
-	ch, cov = spec.Wrap(ch, cov)
+	extra, err := channel.ParseStages(sp.Faults)
+	if err != nil {
+		return nil, nil, err
+	}
+	ch, cov = channel.Compose(ch, cov, extra)
 	return ch, cov, nil
 }
 
@@ -255,7 +240,8 @@ type RetrieveSpec struct {
 	// Retries and Backoff bound the adaptive re-sequencing loop.
 	Retries int     `json:"retries,omitempty"`
 	Backoff float64 `json:"backoff,omitempty"`
-	// Faults is a fault-injection spec in the -faults DSL.
+	// Faults are stages in the channel.ParseStages DSL, run after the
+	// sequencer — the -faults flag of dnastore get.
 	Faults string `json:"faults,omitempty"`
 }
 
@@ -273,7 +259,7 @@ func (sp *RetrieveSpec) Validate() error {
 	if sp.Retries < 0 {
 		return fmt.Errorf("retries %d negative", sp.Retries)
 	}
-	if _, err := faults.ParseSpec(sp.Faults); err != nil {
+	if _, err := channel.ParseStages(sp.Faults); err != nil {
 		return err
 	}
 	return nil

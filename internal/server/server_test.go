@@ -173,6 +173,13 @@ func TestHTTPRejectsInvalidSpecs(t *testing.T) {
 		"bad refs":       {Kind: KindSimulate, Simulate: &SimulateSpec{Refs: []string{"XYZ"}}},
 		"empty retrieve": {Kind: KindRetrieve, Retrieve: &RetrieveSpec{}},
 		"neg timeout":    {Kind: KindSimulate, TimeoutMS: -1, Simulate: &SimulateSpec{NumRefs: 4, RefLen: 8}},
+		// Stage fields each in range whose built rates fail Rates.Validate,
+		// as sub/ins/del = 0.5 each does on the flat path.
+		"overfull naive":      {Kind: KindSimulate, Simulate: &SimulateSpec{NumRefs: 4, RefLen: 8, Stages: "naive=0.5:0.5:0.5"}},
+		"overfull pcr":        {Kind: KindSimulate, Simulate: &SimulateSpec{NumRefs: 4, RefLen: 8, Stages: "pcr=30:0.5"}},
+		"overfull aging":      {Kind: KindSimulate, Simulate: &SimulateSpec{NumRefs: 4, RefLen: 8, Stages: "aging=100:0.5"}},
+		"overfull synthesis":  {Kind: KindSimulate, Simulate: &SimulateSpec{NumRefs: 4, RefLen: 8, Stages: "synthesis=1"}},
+		"overfull sequencing": {Kind: KindSimulate, Simulate: &SimulateSpec{NumRefs: 4, RefLen: 8, Stages: "sequencing=1"}},
 	} {
 		if resp, _ := postJob(t, ts, spec); resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400", name, resp.StatusCode)

@@ -79,3 +79,26 @@ func TestSimulateSpecStagesFingerprint(t *testing.T) {
 		t.Error("identical staged specs fingerprint differently")
 	}
 }
+
+// TestSimulateSpecDescribeWithoutFaults: with an empty faults string the
+// simulator keeps the description its checkpoint journals were written
+// under, so they still resume. The strings are the ones these specs
+// described before fault stages were appended by channel.Compose.
+func TestSimulateSpecDescribeWithoutFaults(t *testing.T) {
+	for want, sp := range map[string]SimulateSpec{
+		"channel=dnasimd coverage=fixed(6)":                                     {NumRefs: 4, RefLen: 40, Sub: 0.01, Del: 0.02, Spatial: "v-shape"},
+		"channel=dnasimd-staged coverage=negbin(μ=8.0,k=2.5)+pool(pcr→storage)": {NumRefs: 4, RefLen: 40, Stages: drillStages, Coverage: 8, CoverageModel: "negbin"},
+		"channel=dnasimd coverage=poisson(μ=6.0)":                               {NumRefs: 4, RefLen: 40, Sub: 0.01, CoverageModel: "poisson"},
+	} {
+		if err := sp.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		ch, cov, err := sp.Simulator()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := (channel.Simulator{Channel: ch, Coverage: cov}).Describe(); got != want {
+			t.Errorf("Describe = %q, want %q", got, want)
+		}
+	}
+}

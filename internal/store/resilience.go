@@ -14,7 +14,7 @@ import (
 // The resilient read path: erasure/repair reporting, a structured
 // partial-recovery error, and an adaptive re-sequencing loop that
 // escalates coverage on decode failure — the graceful-degradation half of
-// the fault-injection subsystem (see internal/faults).
+// fault injection (the fault stages of internal/channel).
 
 // RetrieveReport describes how each designed strand of an object fared on
 // the read path.

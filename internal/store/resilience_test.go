@@ -9,7 +9,6 @@ import (
 
 	"dnastore/internal/channel"
 	"dnastore/internal/codec"
-	"dnastore/internal/faults"
 )
 
 // testPool builds a pool holding one object whose layout is exactly one
@@ -33,6 +32,13 @@ func resiliencePool(t *testing.T) (*Pool, []byte) {
 }
 
 func cleanChannel() channel.Channel { return channel.NewNaive("clean", channel.Rates{}) }
+
+// faulted runs the fault stages after the clean channel and binds them
+// over cov.
+func faulted(cov channel.CoverageModel, stages ...channel.Stage) (channel.Channel, channel.CoverageModel) {
+	pipe := channel.Pipeline{Stages: append([]channel.Stage{channel.AsStage(cleanChannel())}, stages...)}
+	return pipe, pipe.BindCoverage(cov)
+}
 
 func TestRetrieveReportCleanPath(t *testing.T) {
 	p, payload := resiliencePool(t)
@@ -59,7 +65,7 @@ func TestRetrieveReportCleanPath(t *testing.T) {
 }
 
 // TestRetrieveReportDropout erases designed-strand clusters via the
-// deterministic ZeroCoverageRegion injector and checks the three regimes:
+// deterministic ZeroCoverage stage and checks the three regimes:
 // parity-strand dropout (free), data-strand dropout within group-parity
 // capacity (repaired as erasures), and beyond capacity (unrecoverable,
 // with the lost strands named).
@@ -77,8 +83,8 @@ func TestRetrieveReportDropout(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p, payload := resiliencePool(t)
-			cov := faults.ZeroCoverageRegion{Base: channel.FixedCoverage(5), Start: tc.start, Len: tc.n}
-			reads := p.Sequence(cleanChannel(), cov, 9)
+			ch, cov := faulted(channel.FixedCoverage(5), channel.ZeroCoverage{Start: tc.start, Len: tc.n})
+			reads := p.Sequence(ch, cov, 9)
 			data, rep, err := p.RetrieveReport("doc", reads)
 			if tc.wantOK {
 				if err != nil {
@@ -120,8 +126,8 @@ func TestRetrieveReportTruncatedReads(t *testing.T) {
 	p, payload := resiliencePool(t)
 	// Most reads lose their tail, but enough full-length reads per cluster
 	// survive for reconstruction plus per-strand RS to repair the damage.
-	ch := faults.ReadTruncation{Base: cleanChannel(), P: 0.5, MinFrac: 0.5}
-	reads := p.Sequence(ch, channel.FixedCoverage(10), 11)
+	ch, cov := faulted(channel.FixedCoverage(10), channel.Truncation{P: 0.5, MinFrac: 0.5})
+	reads := p.Sequence(ch, cov, 11)
 	data, rep, err := p.RetrieveReport("doc", reads)
 	if err != nil {
 		t.Fatalf("truncated retrieve failed: %v\nreport: %s", err, rep.Summary())
@@ -131,8 +137,8 @@ func TestRetrieveReportTruncatedReads(t *testing.T) {
 	}
 	// Universal heavy truncation destroys the object; the report must say
 	// what was lost rather than silently failing.
-	ch = faults.ReadTruncation{Base: cleanChannel(), P: 1, MinFrac: 0.2}
-	reads = p.Sequence(ch, channel.FixedCoverage(4), 11)
+	ch, cov = faulted(channel.FixedCoverage(4), channel.Truncation{P: 1, MinFrac: 0.2})
+	reads = p.Sequence(ch, cov, 11)
 	_, rep, err = p.RetrieveReport("doc", reads)
 	if err == nil {
 		t.Skip("fully truncated pool still decoded; tighten the fault if this starts passing")
@@ -148,7 +154,7 @@ func TestRetrieveAdaptiveRecoversFromDropout(t *testing.T) {
 	// group parity covers, but each retry re-rolls the dropout with a fresh
 	// derived seed, so a bounded retry loop recovers.
 	factory := func(attempt int, scale float64) (channel.Channel, channel.CoverageModel) {
-		return cleanChannel(), faults.ClusterDropout{Base: channel.FixedCoverage(4), P: 0.5}
+		return faulted(channel.FixedCoverage(4), channel.Dropout{P: 0.5})
 	}
 	attemptsSeen := 0
 	pol := RetryPolicy{
@@ -204,7 +210,7 @@ func TestRetrieveAdaptiveExhaustion(t *testing.T) {
 	// A dead region is deterministic — no amount of re-sequencing helps —
 	// so the loop must exhaust its attempts and surface a structured error.
 	factory := func(attempt int, scale float64) (channel.Channel, channel.CoverageModel) {
-		return cleanChannel(), faults.ZeroCoverageRegion{Base: channel.FixedCoverage(4), Start: 0, Len: 8}
+		return faulted(channel.FixedCoverage(4), channel.ZeroCoverage{Start: 0, Len: 8})
 	}
 	data, rep, attempts, err := p.RetrieveAdaptive(context.Background(), "doc", factory, RetryPolicy{MaxAttempts: 3}, 1)
 	if err == nil {
@@ -274,7 +280,7 @@ func TestRetrieveAdaptiveDeadlineMidRun(t *testing.T) {
 	factory := func(attempt int, scale float64) (channel.Channel, channel.CoverageModel) {
 		// A dead region fails every attempt; cancel after the first one so
 		// the loop exits on ctx.Err() at the top of attempt 2.
-		return cleanChannel(), faults.ZeroCoverageRegion{Base: channel.FixedCoverage(4), Start: 0, Len: 8}
+		return faulted(channel.FixedCoverage(4), channel.ZeroCoverage{Start: 0, Len: 8})
 	}
 	pol := RetryPolicy{MaxAttempts: 5, OnAttempt: func(attempt int, rep RetrieveReport, err error) {
 		cancel()
@@ -313,7 +319,7 @@ func TestRetrieveAdaptiveBackoffCapAndJitter(t *testing.T) {
 	record := func(scales *[]float64) SequencerFactory {
 		return func(attempt int, scale float64) (channel.Channel, channel.CoverageModel) {
 			*scales = append(*scales, scale)
-			return cleanChannel(), faults.ZeroCoverageRegion{Base: channel.FixedCoverage(4), Start: 0, Len: 8}
+			return faulted(channel.FixedCoverage(4), channel.ZeroCoverage{Start: 0, Len: 8})
 		}
 	}
 
