@@ -30,4 +30,15 @@ const (
 	// The chimera template stage, captured when it landed: pins the
 	// coverage → pool → template → reads draw order.
 	goldenHashChimeraNegBin = "edac0adfed49b5747c49a25b0d658fcf"
+	// Channel and coverage paths that had no golden before Channel,
+	// CoverageModel and Stage were reduced to one shape each, captured
+	// with GOLDEN_PRINT=1 at the commit before that change: a channel
+	// that is not a *Model (HomopolymerModel), GCBiasCoverage bare and
+	// bound under a PCR-skew pool stage, ErasureCoverage, and a strand
+	// pipeline of non-Model stages (naive → contam → truncate).
+	goldenHashHomopolymer   = "acabdb72e91a71d88ab2b1a525debe04"
+	goldenHashGCBiasNegBin  = "4425f664581298f3125442e18fd00900"
+	goldenHashGCBiasPool    = "4494d1a41d4154a0832441f3ffb43386"
+	goldenHashErasureNegBin = "201e6c845c861489390784d1fbba61f5"
+	goldenHashStrandFaults  = "1287dd9f7d33b50a61dc145a95cf2b95"
 )

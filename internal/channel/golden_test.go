@@ -86,6 +86,15 @@ func goldenFaulted(cov CoverageModel, spec string) (Channel, CoverageModel) {
 	return Compose(NewNaive("golden-naive", Rates{Sub: 0.01, Ins: 0.005, Del: 0.02}), cov, extra)
 }
 
+// mustBuildStages parses and builds a stage list.
+func mustBuildStages(spec, label string) Pipeline {
+	list, err := ParseStages(spec)
+	if err != nil {
+		panic(err)
+	}
+	return list.Build(label)
+}
+
 // goldenCases is the pinned workload matrix. Hashes are filled in below.
 func goldenCases() []goldenCase {
 	physical := NewPhysicalPipeline("golden-physical", 0.059, 100)
@@ -111,6 +120,51 @@ func goldenCases() []goldenCase {
 			hash: f.hash,
 		})
 	}
+	// Paths the one-shape interfaces refactor moved: a channel that is not
+	// a *Model, reference-aware coverage bare, under a pool binding and
+	// under a wrapper, and a strand pipeline of non-Model stages.
+	gcPool := mustBuildStages("naive=0.01:0.005:0.02,pcr=30:0.0001:0.02", "golden-gc-pool")
+	homopolymer, err := NewHomopolymerModel(goldenModelCond(), 3, 3)
+	if err != nil {
+		panic(err)
+	}
+	cases = append(cases, []goldenCase{
+		{
+			name:     "homopolymer",
+			channel:  homopolymer,
+			coverage: FixedCoverage(5),
+			clusters: 40, refLen: 110, seed: 41,
+			hash: goldenHashHomopolymer,
+		},
+		{
+			name:     "gcbias-negbin",
+			channel:  NewNaive("golden-naive", Rates{Sub: 0.01, Ins: 0.005, Del: 0.02}),
+			coverage: GCBiasCoverage{Base: negbin, Strength: 2},
+			clusters: 60, refLen: 110, seed: 43,
+			hash: goldenHashGCBiasNegBin,
+		},
+		{
+			name:     "gcbias-pool",
+			channel:  gcPool,
+			coverage: gcPool.BindCoverage(GCBiasCoverage{Base: negbin, Strength: 2}),
+			clusters: 60, refLen: 110, seed: 47,
+			hash: goldenHashGCBiasPool,
+		},
+		{
+			name:     "erasure-negbin",
+			channel:  NewNaive("golden-naive", Rates{Sub: 0.01, Ins: 0.005, Del: 0.02}),
+			coverage: ErasureCoverage{Base: negbin, P: 0.1},
+			clusters: 60, refLen: 110, seed: 53,
+			hash: goldenHashErasureNegBin,
+		},
+		{
+			name:     "strand-faults",
+			channel:  mustBuildStages("naive=0.01:0.005:0.02,contam=0.1,truncate=0.3:0.4", "golden-strand-faults"),
+			coverage: negbin,
+			clusters: 60, refLen: 110, seed: 59,
+			hash: goldenHashStrandFaults,
+		},
+	}...)
 	return append(cases, []goldenCase{
 		{
 			name:     "naive",
