@@ -142,18 +142,18 @@ func benchWorkloads() []benchWorkload {
 // benchAppendTransmit measures one channel's AppendTransmit steady state:
 // reference decoded once, output buffer and RNG batch reused from a
 // per-worker Scratch, exactly as simulation workers drive it.
-func benchAppendTransmit(b *testing.B, at channel.AppendTransmitter, refLen int, seed uint64) {
+func benchAppendTransmit(b *testing.B, ch channel.Channel, refLen int, seed uint64) {
 	ref := channel.RandomReferences(1, refLen, seed)[0]
 	r := rng.New(seed)
 	var scr channel.Scratch
 	codes := scr.RefBases(ref)
 	// Warm outside the timer: plan compilation and output-buffer growth are
 	// one-time costs, not steady state.
-	dst := at.AppendTransmit(nil, codes, r, &scr)
+	dst := ch.AppendTransmit(nil, codes, r, &scr)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst = at.AppendTransmit(dst[:0], codes, r, &scr)
+		dst = ch.AppendTransmit(dst[:0], codes, r, &scr)
 	}
 }
 

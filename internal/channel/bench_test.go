@@ -24,13 +24,13 @@ func BenchmarkTransmitSecondOrderSpatial(b *testing.B) {
 func benchTransmit(b *testing.B, ch Channel) {
 	refs := RandomReferences(1, 110, 42)
 	ref := refs[0]
-	ch.Transmit(ref, rng.New(1)) // warm the plan cache outside the timer
+	Transmit(ch, ref, rng.New(1)) // warm the plan cache outside the timer
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		r := rng.New(99)
 		for pb.Next() {
-			ch.Transmit(ref, r)
+			Transmit(ch, ref, r)
 		}
 	})
 }
@@ -52,16 +52,16 @@ func BenchmarkAppendTransmitDNASimulator(b *testing.B) {
 // simulation worker drives it: reference decoded once, output and batch
 // buffers reused. These paths must report 0 allocs/op — CI asserts it
 // through the dnabench zero-alloc workloads.
-func benchAppendTransmit(b *testing.B, at AppendTransmitter) {
+func benchAppendTransmit(b *testing.B, ch Channel) {
 	ref := RandomReferences(1, 110, 42)[0]
 	r := rng.New(99)
 	var scr Scratch
 	codes := scr.RefBases(ref)
-	dst := at.AppendTransmit(nil, codes, r, &scr) // warm plan cache and buffers
+	dst := ch.AppendTransmit(nil, codes, r, &scr) // warm plan cache and buffers
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst = at.AppendTransmit(dst[:0], codes, r, &scr)
+		dst = ch.AppendTransmit(dst[:0], codes, r, &scr)
 	}
 }
 

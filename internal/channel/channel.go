@@ -18,12 +18,35 @@ import (
 
 // Channel is a noisy transformation of a single strand. Implementations
 // must be deterministic given the RNG stream and safe for concurrent use as
-// long as each goroutine supplies its own RNG.
+// long as each goroutine supplies its own RNG and Scratch.
+//
+// A Channel has one shape, the zero-allocation append path: ref arrives as
+// 2-bit base codes (decoded once per cluster via Scratch.RefBases), the
+// noisy read is appended to dst as ASCII bases, and scr is the calling
+// worker's arena (RNG batch buffer, pipeline double-buffer). Callers that
+// want a Strand in and a Strand out use the package function Transmit.
+// Implementations must not touch scr.out (callers pass slices aliasing it
+// as dst); dst is grown by append and returned.
 type Channel interface {
-	// Transmit produces one noisy copy of ref.
-	Transmit(ref dna.Strand, r *rng.RNG) dna.Strand
-	// Name identifies the channel in tables and CLIs.
+	// Name identifies the channel in tables, CLIs and pipeline names.
 	Name() string
+	// AppendTransmit appends one noisy copy of ref to dst.
+	AppendTransmit(dst []byte, ref []dna.Base, r *rng.RNG, scr *Scratch) []byte
+}
+
+// Transmit produces one noisy copy of ref through ch: the pooled-arena
+// wrapper over AppendTransmit, so output bytes and RNG draws are identical
+// on both paths. The result always has fresh backing, never an alias of
+// the caller's reference. Callers that transmit the same reference
+// repeatedly (a cluster) should hold their own Scratch and call
+// AppendTransmit directly, as the Simulator does; that path allocates
+// nothing once warm.
+func Transmit(ch Channel, ref dna.Strand, r *rng.RNG) dna.Strand {
+	scr := scratchPool.Get().(*Scratch)
+	scr.out = ch.AppendTransmit(scr.out[:0], scr.RefBases(ref), r, scr)
+	s := dna.Strand(scr.out)
+	scratchPool.Put(scr)
+	return s
 }
 
 // Rates holds per-base-position probabilities for the three IDS error

@@ -3,16 +3,20 @@ package channel
 import (
 	"fmt"
 
+	"dnastore/internal/dna"
 	"dnastore/internal/rng"
 )
 
 // CoverageModel decides how many noisy reads each reference strand
 // receives. Real sequencing coverage is overdispersed (Heckel et al. found
 // it approximately negative-binomial); the evaluation protocols also need
-// fixed and per-cluster "custom" coverage (§2.2.2).
+// fixed and per-cluster "custom" coverage (§2.2.2). Every model sees the
+// reference, so sequence-dependent amplification (GCBiasCoverage)
+// composes under any wrapper.
 type CoverageModel interface {
-	// Sample returns the read count for the cluster at the given index.
-	Sample(clusterIndex int, r *rng.RNG) int
+	// Sample returns the read count for the cluster at the given index,
+	// whose reference strand is ref.
+	Sample(ref dna.Strand, clusterIndex int, r *rng.RNG) int
 	// Name identifies the model in tables.
 	Name() string
 }
@@ -38,7 +42,7 @@ func NewCoverage(name string, mean float64) (CoverageModel, error) {
 type FixedCoverage int
 
 // Sample implements CoverageModel.
-func (f FixedCoverage) Sample(int, *rng.RNG) int { return int(f) }
+func (f FixedCoverage) Sample(dna.Strand, int, *rng.RNG) int { return int(f) }
 
 // Name implements CoverageModel.
 func (f FixedCoverage) Name() string { return fmt.Sprintf("fixed(%d)", int(f)) }
@@ -50,7 +54,7 @@ func (f FixedCoverage) Name() string { return fmt.Sprintf("fixed(%d)", int(f)) }
 type CustomCoverage []int
 
 // Sample implements CoverageModel.
-func (c CustomCoverage) Sample(i int, _ *rng.RNG) int {
+func (c CustomCoverage) Sample(_ dna.Strand, i int, _ *rng.RNG) int {
 	if len(c) == 0 {
 		return 0
 	}
@@ -68,7 +72,7 @@ type NegBinCoverage struct {
 }
 
 // Sample implements CoverageModel.
-func (n NegBinCoverage) Sample(_ int, r *rng.RNG) int {
+func (n NegBinCoverage) Sample(_ dna.Strand, _ int, r *rng.RNG) int {
 	return r.NegBinomialMeanDisp(n.Mean, n.Dispersion)
 }
 
@@ -82,7 +86,7 @@ func (n NegBinCoverage) Name() string {
 type PoissonCoverage float64
 
 // Sample implements CoverageModel.
-func (p PoissonCoverage) Sample(_ int, r *rng.RNG) int {
+func (p PoissonCoverage) Sample(_ dna.Strand, _ int, r *rng.RNG) int {
 	return r.Poisson(float64(p))
 }
 
@@ -96,7 +100,7 @@ type NormalCoverage struct {
 }
 
 // Sample implements CoverageModel.
-func (n NormalCoverage) Sample(_ int, r *rng.RNG) int {
+func (n NormalCoverage) Sample(_ dna.Strand, _ int, r *rng.RNG) int {
 	v := r.Normal(n.Mean, n.SD)
 	if v < 0 {
 		return 0
@@ -119,11 +123,11 @@ type ErasureCoverage struct {
 }
 
 // Sample implements CoverageModel.
-func (e ErasureCoverage) Sample(i int, r *rng.RNG) int {
+func (e ErasureCoverage) Sample(ref dna.Strand, i int, r *rng.RNG) int {
 	if r.Bool(e.P) {
 		return 0
 	}
-	return e.Base.Sample(i, r)
+	return e.Base.Sample(ref, i, r)
 }
 
 // Name implements CoverageModel.

@@ -33,8 +33,8 @@ import (
 // exactly what an adaptive re-sequencing retry exploits.
 type Dropout struct{ P float64 }
 
-// StageName implements Stage.
-func (d Dropout) StageName() string { return fmt.Sprintf("dropout(%g)", d.P) }
+// Name implements Stage.
+func (d Dropout) Name() string { return fmt.Sprintf("dropout(%g)", d.P) }
 
 // PoolCoverage implements PoolStage: one Bool draw per cluster.
 func (d Dropout) PoolCoverage(_, n int, r *rng.RNG) int {
@@ -50,8 +50,8 @@ func (d Dropout) PoolCoverage(_, n int, r *rng.RNG) int {
 // tests that must erase exactly known strands.
 type ZeroCoverage struct{ Start, Len int }
 
-// StageName implements Stage.
-func (z ZeroCoverage) StageName() string { return fmt.Sprintf("zerocov(%d:%d)", z.Start, z.Len) }
+// Name implements Stage.
+func (z ZeroCoverage) Name() string { return fmt.Sprintf("zerocov(%d:%d)", z.Start, z.Len) }
 
 // PoolCoverage implements PoolStage.
 func (z ZeroCoverage) PoolCoverage(i, n int, _ *rng.RNG) int {
@@ -69,9 +69,6 @@ type Truncation struct{ P, MinFrac float64 }
 
 // Name implements Channel.
 func (t Truncation) Name() string { return fmt.Sprintf("truncate(%g:%g)", t.P, t.minFrac()) }
-
-// StageName implements Stage.
-func (t Truncation) StageName() string { return t.Name() }
 
 // minFrac is the effective shortest surviving prefix fraction.
 func (t Truncation) minFrac() float64 {
@@ -91,12 +88,7 @@ func (t Truncation) keep(n int, r *rng.RNG) int {
 	return min(max(int(frac*float64(n)), 1), n)
 }
 
-// Transmit implements Channel.
-func (t Truncation) Transmit(ref dna.Strand, r *rng.RNG) dna.Strand {
-	return ref[:t.keep(ref.Len(), r)]
-}
-
-// AppendTransmit implements AppendTransmitter.
+// AppendTransmit implements Channel.
 func (t Truncation) AppendTransmit(dst []byte, ref []dna.Base, r *rng.RNG, _ *Scratch) []byte {
 	return dna.AppendLetters(dst, ref[:t.keep(len(ref), r)])
 }
@@ -110,15 +102,7 @@ type Contamination struct{ P float64 }
 // Name implements Channel.
 func (c Contamination) Name() string { return fmt.Sprintf("contam(%g)", c.P) }
 
-// StageName implements Stage.
-func (c Contamination) StageName() string { return c.Name() }
-
-// Transmit implements Channel.
-func (c Contamination) Transmit(ref dna.Strand, r *rng.RNG) dna.Strand {
-	return dna.Strand(c.AppendTransmit(nil, ref.AppendBases(nil), r, nil))
-}
-
-// AppendTransmit implements AppendTransmitter.
+// AppendTransmit implements Channel.
 func (c Contamination) AppendTransmit(dst []byte, ref []dna.Base, r *rng.RNG, _ *Scratch) []byte {
 	if !r.Bool(c.P) {
 		return dna.AppendLetters(dst, ref)
@@ -143,8 +127,8 @@ func (c Contamination) AppendTransmit(dst []byte, ref []dna.Base, r *rng.RNG, _ 
 // clustering would mostly put it.
 type Chimera struct{ P float64 }
 
-// StageName implements Stage.
-func (c Chimera) StageName() string { return fmt.Sprintf("chimera(%g)", c.P) }
+// Name implements Stage.
+func (c Chimera) Name() string { return fmt.Sprintf("chimera(%g)", c.P) }
 
 // Template implements TemplateStage: one Bool draw per read, then a
 // partner and a cut draw for each chimera.

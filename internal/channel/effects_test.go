@@ -84,7 +84,7 @@ func TestClusterDropout(t *testing.T) {
 	const n = 20000
 	zeros := 0
 	for i := 0; i < n; i++ {
-		v := cov.Sample(i, r)
+		v := cov.Sample("", i, r)
 		if v == 0 {
 			zeros++
 		} else if v != 10 {
@@ -125,7 +125,7 @@ func TestZeroCoverageRegionExact(t *testing.T) {
 	cov := Pipeline{Stages: []Stage{ZeroCoverage{Start: 10, Len: 5}}}.BindCoverage(FixedCoverage(4))
 	r := rng.New(3)
 	for i := 0; i < 30; i++ {
-		got := cov.Sample(i, r)
+		got := cov.Sample("", i, r)
 		want := 4
 		if i >= 10 && i < 15 {
 			want = 0
@@ -142,7 +142,7 @@ func TestReadTruncation(t *testing.T) {
 	ref := RandomReferences(1, 100, 9)[0]
 	r := rng.New(5)
 	for i := 0; i < 200; i++ {
-		read := tr.Transmit(ref, r)
+		read := Transmit(tr, ref, r)
 		if read.Len() >= ref.Len() {
 			t.Fatalf("read %d not truncated: len %d", i, read.Len())
 		}
@@ -155,7 +155,7 @@ func TestReadTruncation(t *testing.T) {
 	}
 	// P=0 leaves reads alone.
 	none := Pipeline{Stages: []Stage{clean, Truncation{P: 0}}}
-	if got := none.Transmit(ref, r); got != ref {
+	if got := Transmit(none, ref, r); got != ref {
 		t.Error("P=0 truncation modified the read")
 	}
 }
@@ -167,7 +167,7 @@ func TestContaminationSpike(t *testing.T) {
 	const n = 4000
 	contaminated := 0
 	for i := 0; i < n; i++ {
-		read := cs.Transmit(ref, r)
+		read := Transmit(cs, ref, r)
 		if err := read.Validate(); err != nil {
 			t.Fatalf("contaminated read invalid: %v", err)
 		}

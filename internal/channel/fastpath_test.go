@@ -162,8 +162,8 @@ func TestFastRNGOrderDeterministic(t *testing.T) {
 	exact := goldenModelSecondOrder()
 	for seed := uint64(1); seed <= 10; seed++ {
 		ref := RandomReferences(1, 110, seed)[0]
-		a := fast.Transmit(ref, rng.New(seed))
-		b := fast.Transmit(ref, rng.New(seed))
+		a := Transmit(fast, ref, rng.New(seed))
+		b := Transmit(fast, ref, rng.New(seed))
 		if a != b {
 			t.Fatalf("seed %d: FastRNGOrder is not deterministic", seed)
 		}
@@ -187,7 +187,7 @@ func TestFastRNGOrderDivergesDownstream(t *testing.T) {
 	rFast, rExact := rng.New(seed), rng.New(seed)
 	diverged := false
 	for k := 0; k < reads; k++ {
-		if fast.Transmit(ref, rFast) != exact.transmitReference(ref, rExact) {
+		if Transmit(fast, ref, rFast) != exact.transmitReference(ref, rExact) {
 			diverged = true
 			break
 		}

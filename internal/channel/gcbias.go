@@ -8,16 +8,6 @@ import (
 	"dnastore/internal/rng"
 )
 
-// RefAwareCoverage is an optional extension of CoverageModel for models
-// whose read count depends on the reference strand itself (PCR prefers
-// some sequences over others — Heckel et al.'s observation in §2.1).
-// Simulator detects it by type assertion.
-type RefAwareCoverage interface {
-	CoverageModel
-	// SampleRef returns the read count for the given reference strand.
-	SampleRef(ref dna.Strand, clusterIndex int, r *rng.RNG) int
-}
-
 // GCBiasCoverage attenuates another coverage model for strands whose
 // GC-ratio deviates from 50%: amplification efficiency decays
 // exponentially with deviation, which both skews the copy-number
@@ -36,14 +26,9 @@ func (g GCBiasCoverage) Name() string {
 	return fmt.Sprintf("%s+gcbias(%.1f)", g.Base.Name(), g.Strength)
 }
 
-// Sample implements CoverageModel (no reference: falls back to the base).
-func (g GCBiasCoverage) Sample(i int, r *rng.RNG) int {
-	return g.Base.Sample(i, r)
-}
-
-// SampleRef implements RefAwareCoverage.
-func (g GCBiasCoverage) SampleRef(ref dna.Strand, i int, r *rng.RNG) int {
-	n := g.Base.Sample(i, r)
+// Sample implements CoverageModel.
+func (g GCBiasCoverage) Sample(ref dna.Strand, i int, r *rng.RNG) int {
+	n := g.Base.Sample(ref, i, r)
 	if g.Strength <= 0 || n == 0 {
 		return n
 	}

@@ -49,14 +49,14 @@ func (h *HomopolymerModel) Name() string {
 // mass-preserving).
 func (h *HomopolymerModel) AggregateRate() float64 { return h.Base.AggregateRate() }
 
-// Transmit implements Channel: it temporarily composes a per-strand
+// AppendTransmit implements Channel: it temporarily composes a per-strand
 // position multiplier (boost inside runs, renormalised to mean 1) with the
 // base model's own spatial shape by running the base model against a
 // strand-specific wrapper.
-func (h *HomopolymerModel) Transmit(ref dna.Strand, r *rng.RNG) dna.Strand {
-	mult := h.runMultipliers(ref)
+func (h *HomopolymerModel) AppendTransmit(dst []byte, ref []dna.Base, r *rng.RNG, scr *Scratch) []byte {
+	mult := h.runMultipliers(dna.Strand(dna.AppendLetters(nil, ref)))
 	if mult == nil {
-		return h.Base.Transmit(ref, r)
+		return h.Base.AppendTransmit(dst, ref, r, scr)
 	}
 	// Rejection-style composition: sample from the base model but thin or
 	// intensify per position. The simplest faithful mechanism is a
@@ -64,7 +64,7 @@ func (h *HomopolymerModel) Transmit(ref dna.Strand, r *rng.RNG) dna.Strand {
 	// Spatial is the product of the base shape and the run multiplier.
 	clone := h.Base.shallowCopy()
 	clone.Spatial = productSpatial{base: h.Base, mult: mult}
-	return clone.Transmit(ref, r)
+	return clone.AppendTransmit(dst, ref, r, scr)
 }
 
 // runMultipliers returns per-position multipliers with mean 1, or nil when

@@ -44,7 +44,7 @@ func TestHomopolymerBoostConcentratesErrors(t *testing.T) {
 	inRun, outRun := 0, 0
 	const trials = 20000
 	for i := 0; i < trials; i++ {
-		read := h.Transmit(ref, r)
+		read := Transmit(h, ref, r)
 		for p := 0; p < ref.Len(); p++ {
 			if read[p] != ref[p] {
 				if p >= 40 && p < 60 {
@@ -85,8 +85,8 @@ func TestHomopolymerBoostPreservesAggregate(t *testing.T) {
 	}
 	dBase, dBoost := 0, 0
 	for _, ref := range refs {
-		dBase += align.Distance(string(ref), string(base.Transmit(ref, r)))
-		dBoost += align.Distance(string(ref), string(h.Transmit(ref, r)))
+		dBase += align.Distance(string(ref), string(Transmit(base, ref, r)))
+		dBoost += align.Distance(string(ref), string(Transmit(h, ref, r)))
 	}
 	ratio := float64(dBoost) / float64(dBase)
 	if math.Abs(ratio-1) > 0.12 {
@@ -101,8 +101,8 @@ func TestHomopolymerNoRunsPassThrough(t *testing.T) {
 	base := NewNaive("b", Rates{Sub: 0.1})
 	h, _ := NewHomopolymerModel(base, 3, 3)
 	ref := dna.Strand(strings.Repeat("ACGT", 25)) // no runs >= 3
-	a := h.Transmit(ref, rng.New(7))
-	b := base.Transmit(ref, rng.New(7))
+	a := Transmit(h, ref, rng.New(7))
+	b := Transmit(base, ref, rng.New(7))
 	if a != b {
 		t.Error("no-run strand should use the base model verbatim")
 	}
@@ -117,7 +117,7 @@ func TestGCBiasCoverage(t *testing.T) {
 	sum := func(ref dna.Strand) float64 {
 		total := 0
 		for i := 0; i < 2000; i++ {
-			total += bias.SampleRef(ref, i, r)
+			total += bias.Sample(ref, i, r)
 		}
 		return float64(total) / 2000
 	}
@@ -132,16 +132,16 @@ func TestGCBiasCoverage(t *testing.T) {
 	if math.Abs(e-40*math.Exp(-2)) > 1 {
 		t.Errorf("extreme coverage = %v, want ≈%v", e, 40*math.Exp(-2))
 	}
-	// Plain Sample ignores the reference.
-	if bias.Sample(0, r) != 40 {
-		t.Error("Sample should pass through the base")
+	// A GC-balanced reference passes the base count through unthinned.
+	if bias.Sample(balanced, 0, r) != 40 {
+		t.Error("Sample should pass a balanced strand's base count through")
 	}
 	if !strings.Contains(bias.Name(), "gcbias") {
 		t.Errorf("Name = %q", bias.Name())
 	}
 	// Zero strength is a no-op.
 	noop := GCBiasCoverage{Base: FixedCoverage(7)}
-	if noop.SampleRef(extreme, 0, r) != 7 {
+	if noop.Sample(extreme, 0, r) != 7 {
 		t.Error("zero strength should not thin")
 	}
 }
@@ -159,5 +159,36 @@ func TestSimulatorUsesRefAwareCoverage(t *testing.T) {
 	if ds.Clusters[0].Coverage() <= ds.Clusters[1].Coverage() {
 		t.Errorf("extreme-GC strand (%d reads) should be thinned vs balanced (%d)",
 			ds.Clusters[1].Coverage(), ds.Clusters[0].Coverage())
+	}
+}
+
+// TestGCBiasSurvivesCoverageWrappers is the wrapper regression: a
+// coverage wrapper must hand the reference down, or the GC bias it wraps
+// silently disappears. ErasureCoverage once sampled its base without the
+// reference, and GCBiasCoverage fell back to its unbiased base when it had
+// none, so on all-GC references FixedCoverage(20) at Strength 3 gave about
+// 1 read per cluster bare but 20 under either wrapper.
+func TestGCBiasSurvivesCoverageWrappers(t *testing.T) {
+	bias := GCBiasCoverage{Base: FixedCoverage(20), Strength: 3}
+	refs := make([]dna.Strand, 400)
+	for i := range refs {
+		refs[i] = dna.Strand(strings.Repeat("GC", 55))
+	}
+	// exp(-3) of 20 reads survive on average; the wrapped composition must
+	// thin just like the bare model.
+	want := 20 * math.Exp(-3)
+	for _, cov := range []CoverageModel{
+		bias,
+		ErasureCoverage{Base: bias, P: 0},
+		GCBiasCoverage{Base: bias, Strength: 0},
+	} {
+		ds := Simulator{Channel: NewNaive("n", Rates{}), Coverage: cov}.Simulate("gc", refs, 9)
+		total := 0
+		for _, c := range ds.Clusters {
+			total += c.Coverage()
+		}
+		if mean := float64(total) / float64(len(refs)); math.Abs(mean-want) > 0.3 {
+			t.Errorf("%s: mean reads per all-GC cluster = %.2f, want ≈%.2f", cov.Name(), mean, want)
+		}
 	}
 }

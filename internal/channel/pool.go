@@ -69,9 +69,6 @@ func (p Pipeline) BindCoverage(base CoverageModel) CoverageModel {
 	if len(pc.stages) == 0 && len(pc.templates) == 0 {
 		return base
 	}
-	if ra, ok := base.(RefAwareCoverage); ok {
-		return refAwarePooledCoverage{pooledCoverage: pc, ra: ra}
-	}
 	return pc
 }
 
@@ -82,13 +79,10 @@ type pooledCoverage struct {
 	templates []TemplateStage
 }
 
-// Sample implements CoverageModel.
-func (p pooledCoverage) Sample(i int, r *rng.RNG) int {
-	return p.apply(i, p.base.Sample(i, r), r)
-}
-
-// apply runs the pool stages over an initial count.
-func (p pooledCoverage) apply(i, n int, r *rng.RNG) int {
+// Sample implements CoverageModel: the base samples first, seeing the
+// reference, then the pool stages rewrite its count.
+func (p pooledCoverage) Sample(ref dna.Strand, i int, r *rng.RNG) int {
+	n := p.base.Sample(ref, i, r)
 	for _, st := range p.stages {
 		n = st.PoolCoverage(i, n, r)
 		if n < 0 {
@@ -103,10 +97,10 @@ func (p pooledCoverage) apply(i, n int, r *rng.RNG) int {
 func (p pooledCoverage) Name() string {
 	names := make([]string, 0, len(p.stages)+len(p.templates))
 	for _, st := range p.stages {
-		names = append(names, st.StageName())
+		names = append(names, st.Name())
 	}
 	for _, st := range p.templates {
-		names = append(names, st.StageName())
+		names = append(names, st.Name())
 	}
 	return fmt.Sprintf("%s+pool(%s)", p.base.Name(), strings.Join(names, "→"))
 }
@@ -114,26 +108,10 @@ func (p pooledCoverage) Name() string {
 // templateStages returns the template stages bound into cov, nil when
 // none are.
 func templateStages(cov CoverageModel) []TemplateStage {
-	switch c := cov.(type) {
-	case pooledCoverage:
-		return c.templates
-	case refAwarePooledCoverage:
-		return c.templates
+	if pc, ok := cov.(pooledCoverage); ok {
+		return pc.templates
 	}
 	return nil
-}
-
-// refAwarePooledCoverage preserves the base model's RefAwareCoverage
-// extension through the pool binding: the base still sees the reference
-// strand, the pool stages rewrite its count.
-type refAwarePooledCoverage struct {
-	pooledCoverage
-	ra RefAwareCoverage
-}
-
-// SampleRef implements RefAwareCoverage.
-func (p refAwarePooledCoverage) SampleRef(ref dna.Strand, i int, r *rng.RNG) int {
-	return p.apply(i, p.ra.SampleRef(ref, i, r), r)
 }
 
 // DefaultPCREfficiencySD is the per-cycle standard deviation of

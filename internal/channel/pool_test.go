@@ -83,7 +83,7 @@ func TestBindCoveragePoolStages(t *testing.T) {
 	}
 
 	// Deterministic: same cluster RNG, same count.
-	a, b := cov.Sample(3, rng.New(99)), cov.Sample(3, rng.New(99))
+	a, b := cov.Sample("", 3, rng.New(99)), cov.Sample("", 3, rng.New(99))
 	if a != b {
 		t.Errorf("pool coverage not deterministic: %d vs %d", a, b)
 	}
@@ -92,9 +92,9 @@ func TestBindCoveragePoolStages(t *testing.T) {
 	survive := math.Exp(-100 * DefaultBreakagePerYear)
 	sum, varied := 0.0, false
 	const trials = 4000
-	first := cov.Sample(0, rng.New(1))
+	first := cov.Sample("", 0, rng.New(1))
 	for i := 0; i < trials; i++ {
-		n := cov.Sample(i, rng.New(uint64(1000+i)))
+		n := cov.Sample("", i, rng.New(uint64(1000+i)))
 		if n != first {
 			varied = true
 		}
@@ -108,24 +108,20 @@ func TestBindCoveragePoolStages(t *testing.T) {
 	}
 }
 
-// TestBindCoverageForwardsRefAware: a ref-aware base (GC bias) keeps its
-// SampleRef extension through the pool binding, with the pool stages
-// applied on top of the ref-aware count.
+// TestBindCoverageForwardsRefAware: a ref-aware base (GC bias) still sees
+// the reference through the pool binding, with the pool stages applied on
+// top of the ref-aware count.
 func TestBindCoverageForwardsRefAware(t *testing.T) {
 	pipe := NewPhysicalPipeline("phys", 0.059, 100)
 	base := GCBiasCoverage{Base: FixedCoverage(50), Strength: 2}
 	cov := pipe.BindCoverage(base)
 
-	ra, ok := cov.(RefAwareCoverage)
-	if !ok {
-		t.Fatal("pool binding dropped RefAwareCoverage")
-	}
 	balanced := dna.Strand("ACGTACGTACGTACGTACGT")
 	extreme := dna.Strand("GGGGGGGGGGCCCCCCCCCC")
 	sumBal, sumExt := 0, 0
 	for i := 0; i < 500; i++ {
-		sumBal += ra.SampleRef(balanced, i, rng.New(uint64(2000+i)))
-		sumExt += ra.SampleRef(extreme, i, rng.New(uint64(2000+i)))
+		sumBal += cov.Sample(balanced, i, rng.New(uint64(2000+i)))
+		sumExt += cov.Sample(extreme, i, rng.New(uint64(2000+i)))
 	}
 	if sumExt >= sumBal {
 		t.Errorf("GC bias lost through pool binding: extreme %d >= balanced %d", sumExt, sumBal)
@@ -137,12 +133,12 @@ func TestBindCoverageForwardsRefAware(t *testing.T) {
 func TestPoolCoverageNeverNegative(t *testing.T) {
 	neg := negPool{}
 	cov := Pipeline{Stages: []Stage{neg}}.BindCoverage(FixedCoverage(5))
-	if got := cov.Sample(0, rng.New(1)); got != 0 {
+	if got := cov.Sample("", 0, rng.New(1)); got != 0 {
 		t.Errorf("negative pool count leaked through: %d", got)
 	}
 }
 
 type negPool struct{}
 
-func (negPool) StageName() string                     { return "neg" }
+func (negPool) Name() string                          { return "neg" }
 func (negPool) PoolCoverage(_, _ int, _ *rng.RNG) int { return -3 }

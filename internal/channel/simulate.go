@@ -132,7 +132,7 @@ func (s Simulator) Simulate(name string, refs []dna.Strand, seed uint64) *datase
 // between clusters: workers stop picking up new clusters once ctx is done,
 // and the partial dataset (completed clusters populated, the rest degraded
 // to zero reads) is returned together with a *SimulationError whose
-// Canceled field carries ctx.Err(). A panic inside Channel.Transmit or
+// Canceled field carries ctx.Err(). A panic inside Channel.AppendTransmit or
 // CoverageModel.Sample is confined to its cluster and surfaces as a
 // ClusterError instead of killing the process.
 //
@@ -217,13 +217,9 @@ func (s Simulator) simulateWith(ctx context.Context, name string, refs []dna.Str
 	// Output is unaffected: each cluster's RNG derives from (seed, index),
 	// never from which worker ran it.
 	//
-	// Channels that implement AppendTransmitter get the zero-allocation
-	// fast path: each worker owns one Scratch arena for its whole run, the
-	// reference is decoded to base codes once per cluster, and every read
-	// is generated into the reused output buffer. The interface contract
-	// guarantees byte- and draw-identical output, so the golden
-	// worker-invariance suite covers both paths with the same hashes.
-	at, _ := s.Channel.(AppendTransmitter)
+	// Each worker owns one Scratch arena for its whole run: the reference
+	// is decoded to base codes once per cluster, and every read is
+	// generated into the reused output buffer.
 	var next atomic.Int64
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -248,7 +244,7 @@ func (s Simulator) simulateWith(ctx context.Context, name string, refs []dna.Str
 						continue
 					}
 				}
-				if err := s.simulateCluster(ds, refs, gi, li, seed, at, tmpl, &scr); err != nil {
+				if err := s.simulateCluster(ds, refs, gi, li, seed, tmpl, &scr); err != nil {
 					mu.Lock()
 					clusterErrs = append(clusterErrs, ClusterError{Index: gi, Err: err})
 					mu.Unlock()
@@ -282,11 +278,11 @@ func (s Simulator) simulateWith(ctx context.Context, name string, refs []dna.Str
 
 // simulateCluster generates the reads of global cluster gi into dataset
 // slot li, converting a panic in the channel or coverage model into a
-// returned error. at is the channel's AppendTransmitter view (nil when
-// unsupported), tmpl the template stages bound into the coverage model and
-// scr the calling worker's arena; the fast path decodes the reference once
-// and reuses the arena's output buffer across every read in the cluster.
-func (s Simulator) simulateCluster(ds *dataset.Dataset, refs []dna.Strand, gi, li int, seed uint64, at AppendTransmitter, tmpl []TemplateStage, scr *Scratch) (err error) {
+// returned error. tmpl is the template stages bound into the coverage
+// model and scr the calling worker's arena: the reference is decoded once
+// and the arena's output buffer is reused across every read in the
+// cluster.
+func (s Simulator) simulateCluster(ds *dataset.Dataset, refs []dna.Strand, gi, li int, seed uint64, tmpl []TemplateStage, scr *Scratch) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("panic: %v", p)
@@ -296,12 +292,7 @@ func (s Simulator) simulateCluster(ds *dataset.Dataset, refs []dna.Strand, gi, l
 	// independent of worker scheduling — and of which range shard (if any)
 	// the cluster was simulated in.
 	r := rng.New(seed ^ (0x9e3779b97f4a7c15 * uint64(gi+1)))
-	var n int
-	if ra, ok := s.Coverage.(RefAwareCoverage); ok {
-		n = ra.SampleRef(refs[gi], gi, r)
-	} else {
-		n = s.Coverage.Sample(gi, r)
-	}
+	n := s.Coverage.Sample(refs[gi], gi, r)
 	// Template draws: every read's starting molecule is picked after the
 	// pool draws and before the first read draw. Without template stages
 	// every read starts from the reference and templates stays nil.
@@ -317,43 +308,31 @@ func (s Simulator) simulateCluster(ds *dataset.Dataset, refs []dna.Strand, gi, l
 		}
 		scr.templates = templates
 	}
-	var reads []dna.Strand
-	if at != nil {
-		// Fast path: decode the reference once, generate every read into
-		// the arena's single output buffer recording where each one ends,
-		// then materialise the whole cluster as ONE immutable string and
-		// slice the per-read Strands out of it. Strand slicing shares the
-		// backing array, so the cluster costs two allocations (blob +
-		// reads slice) instead of one per read — and the reads end up
-		// contiguous in memory, which downstream alignment scans reward.
-		codes := scr.RefBases(refs[gi])
-		scr.out = scr.out[:0]
-		scr.ends = scr.ends[:0]
-		for k := 0; k < n; k++ {
-			src := codes
-			if templates != nil && templates[k] != refs[gi] {
-				scr.templateCodes = templates[k].AppendBases(scr.templateCodes[:0])
-				src = scr.templateCodes
-			}
-			scr.out = at.AppendTransmit(scr.out, src, r, scr)
-			scr.ends = append(scr.ends, len(scr.out))
+	// Decode the reference once, generate every read into the arena's
+	// single output buffer recording where each one ends, then
+	// materialise the whole cluster as ONE immutable string and slice the
+	// per-read Strands out of it. Strand slicing shares the backing array,
+	// so the cluster costs two allocations (blob + reads slice) instead of
+	// one per read — and the reads end up contiguous in memory, which
+	// downstream alignment scans reward.
+	codes := scr.RefBases(refs[gi])
+	scr.out = scr.out[:0]
+	scr.ends = scr.ends[:0]
+	for k := 0; k < n; k++ {
+		src := codes
+		if templates != nil && templates[k] != refs[gi] {
+			scr.templateCodes = templates[k].AppendBases(scr.templateCodes[:0])
+			src = scr.templateCodes
 		}
-		blob := dna.Strand(scr.out)
-		reads = make([]dna.Strand, n)
-		prev := 0
-		for k, end := range scr.ends {
-			reads[k] = blob[prev:end]
-			prev = end
-		}
-	} else {
-		reads = make([]dna.Strand, 0, n)
-		for k := 0; k < n; k++ {
-			t := refs[gi]
-			if templates != nil {
-				t = templates[k]
-			}
-			reads = append(reads, s.Channel.Transmit(t, r))
-		}
+		scr.out = s.Channel.AppendTransmit(scr.out, src, r, scr)
+		scr.ends = append(scr.ends, len(scr.out))
+	}
+	blob := dna.Strand(scr.out)
+	reads := make([]dna.Strand, n)
+	prev := 0
+	for k, end := range scr.ends {
+		reads[k] = blob[prev:end]
+		prev = end
 	}
 	ds.Clusters[li] = dataset.Cluster{Ref: refs[gi], Reads: reads}
 	return nil

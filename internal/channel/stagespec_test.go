@@ -3,7 +3,9 @@ package channel
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
+	"dnastore/internal/dna"
 	"dnastore/internal/rng"
 )
 
@@ -135,7 +137,7 @@ func TestParseStagesFaultDirectives(t *testing.T) {
 	}
 	pipe := list.Build("faults")
 	for i, want := range []string{"dropout(0.1)", "truncate(0.3:0.5)", "contam(0.02)", "zerocov(10:5)", "chimera(0.05)"} {
-		if got := pipe.Stages[i].StageName(); got != want {
+		if got := pipe.Stages[i].Name(); got != want {
 			t.Errorf("stage %d name = %q, want %q", i, got, want)
 		}
 	}
@@ -175,7 +177,7 @@ func TestStageListBuild(t *testing.T) {
 
 	// The built pipeline transmits.
 	ref := RandomReferences(1, 110, 3)[0]
-	if err := pipe.Transmit(ref, rng.New(5)).Validate(); err != nil {
+	if err := Transmit(pipe, ref, rng.New(5)).Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -193,12 +195,12 @@ func TestStageListBuildMatchesPhysicalPipeline(t *testing.T) {
 	got := list.Build("p")
 	ref := RandomReferences(1, 110, 7)[0]
 	r1, r2 := rng.New(9), rng.New(9)
-	a, b := want.Transmit(ref, r1), got.Transmit(ref, r2)
+	a, b := Transmit(want, ref, r1), Transmit(got, ref, r2)
 	if a != b {
 		t.Errorf("DSL pipeline output differs from constructor:\n%q\n%q", a, b)
 	}
-	c1 := want.BindCoverage(FixedCoverage(50)).Sample(3, rng.New(11))
-	c2 := got.BindCoverage(FixedCoverage(50)).Sample(3, rng.New(11))
+	c1 := want.BindCoverage(FixedCoverage(50)).Sample("", 3, rng.New(11))
+	c2 := got.BindCoverage(FixedCoverage(50)).Sample("", 3, rng.New(11))
 	if c1 != c2 {
 		t.Errorf("DSL pool coverage %d differs from constructor %d", c2, c1)
 	}
@@ -259,8 +261,24 @@ func FuzzParseStages(f *testing.F) {
 		}
 		pipe := list.Build("fuzz")
 		ref := RandomReferences(1, 40, 1)[0]
-		if err := pipe.Transmit(ref, rng.New(1)).Validate(); err != nil {
+		if err := Transmit(pipe, ref, rng.New(1)).Validate(); err != nil {
 			t.Fatalf("built pipeline emits invalid reads: %v", err)
+		}
+		// Every strand stage goes through the one Transmit path: valid
+		// ACGT out, never an alias of the caller's strand.
+		const fixed = dna.Strand("ACGTTGCAAGCTTCGAATGC")
+		for _, st := range pipe.Stages {
+			ch, ok := st.(Channel)
+			if !ok {
+				continue
+			}
+			out := Transmit(ch, fixed, rng.New(2))
+			if err := out.Validate(); err != nil {
+				t.Fatalf("stage %s emits invalid reads: %v", ch.Name(), err)
+			}
+			if out.Len() > 0 && unsafe.StringData(string(out)) == unsafe.StringData(string(fixed)) {
+				t.Fatalf("stage %s: Transmit returned an alias of the caller's strand", ch.Name())
+			}
 		}
 		// Pool and template stages act only through a simulation run.
 		ch, cov := Compose(pipe, FixedCoverage(2), nil)

@@ -36,7 +36,7 @@ func cleanChannel() channel.Channel { return channel.NewNaive("clean", channel.R
 // faulted runs the fault stages after the clean channel and binds them
 // over cov.
 func faulted(cov channel.CoverageModel, stages ...channel.Stage) (channel.Channel, channel.CoverageModel) {
-	pipe := channel.Pipeline{Stages: append([]channel.Stage{channel.AsStage(cleanChannel())}, stages...)}
+	pipe := channel.Pipeline{Stages: append([]channel.Stage{cleanChannel()}, stages...)}
 	return pipe, pipe.BindCoverage(cov)
 }
 
