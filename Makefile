@@ -16,10 +16,12 @@ verify: build test verify-race perfbench-check chaos-smoke fuzz-smoke
 # pool and checkpointing (internal/channel), the adaptive retrieve path
 # (internal/store), the journal (internal/durable), the metrics registry /
 # stage timer (internal/obs), the work-stealing reconstruction pool
-# (internal/recon) and the profiling workers (internal/profile).
+# (internal/recon), the profiling workers (internal/profile), and the
+# alignment kernel's pooled arenas (internal/align) with the clustering
+# that leans on them (internal/cluster).
 verify-race:
 	$(GO) vet ./...
-	$(GO) test -race ./internal/channel/... ./internal/store/... ./internal/durable/... ./internal/obs/... ./internal/recon/... ./internal/profile/...
+	$(GO) test -race ./internal/channel/... ./internal/store/... ./internal/durable/... ./internal/obs/... ./internal/recon/... ./internal/profile/... ./internal/align/... ./internal/cluster/...
 
 # The end-to-end benchmark is a module of its own (perfbench/), so the root
 # build and tests never compile it; its serve checks drive server.New and
@@ -36,9 +38,10 @@ perfbench-check:
 chaos-smoke:
 	$(GO) test -race -count=1 ./internal/server/... ./internal/client/... ./internal/chaosnet/... ./internal/fleet/...
 
-# Short fuzz pass over every parser that consumes on-disk bytes: the
+# Short fuzz pass over every parser that consumes on-disk bytes — the
 # durable container reader, the pool loader, the FASTA/FASTQ parsers, the
-# fault-injection spec DSL, and the channel stage-pipeline DSL.
+# fault-injection spec DSL, and the channel stage-pipeline DSL — and over
+# the alignment kernel against its full-matrix and row-DP references.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadContainer -fuzztime=10s ./internal/durable/
 	$(GO) test -run='^$$' -fuzz=FuzzLoadPool -fuzztime=10s ./internal/store/
@@ -46,10 +49,11 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadFASTQ -fuzztime=10s ./internal/seqio/
 	$(GO) test -run='^$$' -fuzz=FuzzParseSpec -fuzztime=10s ./internal/faults/
 	$(GO) test -run='^$$' -fuzz=FuzzParseStages -fuzztime=10s ./internal/channel/
+	$(GO) test -run='^$$' -fuzz=FuzzScript -fuzztime=10s ./internal/align/
 
 # Benchmarks: one pass over the Go benchmarks (smoke, 1 iteration each)
-# plus the machine-readable simulate hot-path measurement CI archives as an
-# artifact.
+# plus the machine-readable simulate, transmit and alignment hot-path
+# measurement CI archives as an artifact.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
 	$(GO) run ./cmd/dnabench -json BENCH_sim.json

@@ -18,9 +18,10 @@ import (
 
 // The -json / -compare benchmark modes: machine-readable measurements of
 // the simulate hot path — channel.Simulator.Simulate over fixed synthetic
-// workloads — written as one JSON document so CI can archive BENCH_sim.json
-// per commit, and diffed against a committed baseline so throughput
-// regressions fail the build instead of landing silently.
+// workloads — and of the packed transmit and alignment kernels, written
+// as one JSON document so CI can archive BENCH_sim.json per commit, and
+// diffed against a committed baseline so throughput regressions fail the
+// build instead of landing silently.
 // testing.Benchmark gives the same adaptive iteration count and allocation
 // accounting as `go test -bench` without needing the test harness.
 
@@ -50,9 +51,10 @@ type benchResult struct {
 // benchWorkload is one named hot-path configuration. Most workloads
 // measure Simulator.Simulate end to end via the simulate factory; a
 // workload may instead supply run to measure a narrower path directly
-// (the packed transmit kernels). zeroAlloc marks workloads whose steady
-// state must not allocate at all — the measurement itself fails, in both
-// -json and -compare modes, if allocs/op is nonzero.
+// (the packed transmit kernels, the alignment kernel). zeroAlloc marks
+// workloads whose steady state must not allocate at all — the
+// measurement itself fails, in both -json and -compare modes, if
+// allocs/op is nonzero.
 type benchWorkload struct {
 	name      string
 	clusters  int
@@ -136,6 +138,58 @@ func benchWorkloads() []benchWorkload {
 				benchAppendTransmit(b, channel.NewStoragePipeline("bench-pipe", 0.059, 10), 110, seed)
 			},
 		},
+		// The alignment kernel, one pair per op: a read under about 6%
+		// Nanopore-mix noise against its reference — the traffic of
+		// profiling, clustering and Iterative — and an unrelated pair, the
+		// worst case, where Script's band spans whole rows. DistanceAtMost
+		// works from a pooled arena and must not allocate.
+		{
+			name: "align.script/noisy110", refLen: 110,
+			run: func(b *testing.B, seed uint64) {
+				ref, read := noisyBenchPair(seed)
+				benchScript(b, ref, read)
+			},
+		},
+		{
+			name: "align.script/unrelated110", refLen: 110,
+			run: func(b *testing.B, seed uint64) {
+				refs := channel.RandomReferences(2, 110, seed)
+				benchScript(b, string(refs[0]), string(refs[1]))
+			},
+		},
+		{
+			name: "align.distance_at_most/noisy110", refLen: 110, zeroAlloc: true,
+			run: func(b *testing.B, seed uint64) {
+				ref, read := noisyBenchPair(seed)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					d, _ := align.DistanceAtMost(ref, read, len(ref)/4)
+					benchSink += d
+				}
+			},
+		},
+	}
+}
+
+// benchSink keeps the compiler from discarding a measured call's result.
+var benchSink int
+
+// noisyBenchPair returns a seeded 110-nt reference and one read of it
+// through a naive channel at 6% Nanopore-mix error.
+func noisyBenchPair(seed uint64) (string, string) {
+	ref := channel.RandomReferences(1, 110, seed)[0]
+	read := channel.Transmit(channel.NewNaive("bench", channel.NanoporeMix(0.06)), ref, rng.New(seed))
+	return string(ref), string(read)
+}
+
+// benchScript measures align.Script on one pair under the deterministic
+// tie-break, the policy the profiler and Iterative use.
+func benchScript(b *testing.B, ref, read string) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink += len(align.Script(ref, read, align.ScriptOptions{}))
 	}
 }
 

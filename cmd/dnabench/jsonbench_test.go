@@ -1,6 +1,11 @@
 package main
 
-import "testing"
+import (
+	"testing"
+
+	"dnastore/internal/align"
+	"dnastore/internal/channel"
+)
 
 // preFixAllocRegressed replicates the alloc gate as it stood before
 // allocRegressed was extracted: the fractional delta was only computed
@@ -62,5 +67,29 @@ func TestAllocRegressedPositiveBaseline(t *testing.T) {
 			t.Errorf("allocRegressed(%d, %d, %g) = %v, want %v",
 				c.baseline, c.current, c.tolerance, got, c.want)
 		}
+	}
+}
+
+// TestAlignWorkloadShapes pins the alignment rows of BENCH_sim.json to the
+// traffic they stand for: the noisy pair is a few edits apart, as reads
+// are from their reference, and the unrelated pair is far enough apart
+// that Script's band spans whole rows.
+func TestAlignWorkloadShapes(t *testing.T) {
+	names := map[string]bool{}
+	for _, w := range benchWorkloads() {
+		names[w.name] = true
+	}
+	for _, want := range []string{"align.script/noisy110", "align.script/unrelated110", "align.distance_at_most/noisy110"} {
+		if !names[want] {
+			t.Errorf("workload %s missing", want)
+		}
+	}
+	ref, read := noisyBenchPair(1)
+	if d := align.Distance(ref, read); d < 1 || d > 20 {
+		t.Errorf("noisy pair distance %d, want a few edits (1..20) at 6%% noise", d)
+	}
+	refs := channel.RandomReferences(2, 110, 1)
+	if d := align.Distance(string(refs[0]), string(refs[1])); 2*d+1 < 111 {
+		t.Errorf("unrelated pair distance %d: band narrower than a row", d)
 	}
 }

@@ -10,7 +10,7 @@
 //	dnabench -exp table3.1   # one experiment
 //	dnabench -list           # list experiment IDs
 //	dnabench -csv out/       # also write CSV files
-//	dnabench -json BENCH_sim.json   # benchmark the simulate hot paths, write JSON
+//	dnabench -json BENCH_sim.json   # benchmark the simulate/align hot paths, write JSON
 //	dnabench -compare BENCH_sim.json -compare-report BENCH_compare.txt
 //	                         # re-measure and fail on >15% ns/op regression
 package main
@@ -38,8 +38,8 @@ func main() {
 		list     = flag.Bool("list", false, "list experiment IDs and exit")
 		csvDir   = flag.String("csv", "", "directory to write CSV outputs into")
 		svgDir   = flag.String("svg", "", "directory to write SVG figures into")
-		jsonOut  = flag.String("json", "", "benchmark the simulate hot paths and write machine-readable results to this path, then exit")
-		compare  = flag.String("compare", "", "benchmark the simulate hot paths and compare against this baseline JSON; exit 1 on regression")
+		jsonOut  = flag.String("json", "", "benchmark the simulate, transmit and alignment hot paths and write machine-readable results to this path, then exit")
+		compare  = flag.String("compare", "", "benchmark the simulate, transmit and alignment hot paths and compare against this baseline JSON; exit 1 on regression")
 		cmpOut   = flag.String("compare-report", "", "with -compare: also write the comparison report to this path")
 		cmpTol   = flag.Float64("compare-tolerance", 0.15, "with -compare: fractional ns/op regression that fails the gate")
 		logOpts  = obs.LogFlags(flag.CommandLine)

@@ -1,7 +1,6 @@
 package align
 
 import (
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -86,14 +85,7 @@ func TestDistanceAtMostMatchesDistanceQuick(t *testing.T) {
 	}
 }
 
-func randStrand(r *rng.RNG, n int) string {
-	const alpha = "ACGT"
-	var sb strings.Builder
-	for i := 0; i < n; i++ {
-		sb.WriteByte(alpha[r.Intn(4)])
-	}
-	return sb.String()
-}
+func randStrand(r *rng.RNG, n int) string { return randOver(r, n, "ACGT") }
 
 func TestScriptDeterministic(t *testing.T) {
 	ref, read := "AGCG", "AGG"
@@ -416,6 +408,8 @@ func BenchmarkDistance110(b *testing.B) {
 	}
 }
 
+// BenchmarkScript110 aligns two unrelated strands (d ≈ 60): the worst case,
+// where the band spans whole rows and Script fills the plain matrix.
 func BenchmarkScript110(b *testing.B) {
 	r := rng.New(2)
 	x := randStrand(r, 110)
@@ -424,6 +418,37 @@ func BenchmarkScript110(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Script(x, y, ScriptOptions{})
+	}
+}
+
+// noisyPair110 is the traffic profiling, clustering and Iterative send the
+// kernel: a 110-nt strand and a copy of it under about 6% Nanopore-mix
+// noise.
+func noisyPair110() (string, string) {
+	r := rng.New(4)
+	x := randStrand(r, 110)
+	return x, mutate(r, x, 0.06, 0, "ACGT")
+}
+
+// sinkInt keeps the compiler from discarding a measured call's result.
+var sinkInt int
+
+func BenchmarkScriptNoisy110(b *testing.B) {
+	x, y := noisyPair110()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkInt += len(Script(x, y, ScriptOptions{}))
+	}
+}
+
+func BenchmarkDistanceAtMostNoisy110(b *testing.B) {
+	x, y := noisyPair110()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d, _ := DistanceAtMost(x, y, len(x)/4)
+		sinkInt += d
 	}
 }
 

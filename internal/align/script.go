@@ -73,36 +73,37 @@ type ScriptOptions struct {
 // The number of non-Equal ops equals Distance(ref, read). Among equally
 // minimal scripts, the tie-break policy in opts picks one; the zero options
 // value is the deterministic policy.
+//
+// The DP is filled only on the Ukkonen band |i−j| <= d, where d is the
+// bit-parallel distance. Every cell on a minimum-cost path lies in that
+// band and keeps its full-matrix value, and every cell off it compares
+// higher than the current cell, so the traceback sees exactly the
+// full-matrix tie candidates: the same ops, and under Randomize the same
+// RNG draws (DESIGN §18).
 func Script(ref, read string, opts ScriptOptions) []Op {
+	ar := getArena()
+	defer putArena(ar)
 	m, n := len(ref), len(read)
-	// Full DP cost matrix; strands here are short (~110 bases) so the
-	// quadratic matrix (~12k cells) is cheap and the traceback is exact.
-	cols := n + 1
-	cost := make([]int32, (m+1)*cols)
-	idx := func(i, j int) int { return i*cols + j }
-	for j := 0; j <= n; j++ {
-		cost[idx(0, j)] = int32(j)
+	// d >= |m−n|, so the band of half-width d always holds (m, n).
+	w := ar.distance(ref, read)
+	// Cell (i, j) lives at cost[i*stride+off+j].
+	stride, off := 2*w+1, w
+	if stride >= n+1 {
+		// The band is as wide as a row: fill the plain matrix.
+		stride, off = n+1, 0
+		ar.cost = grow(ar.cost, (m+1)*stride)
+		fillFull(ar.cost, ref, read)
+	} else {
+		ar.cost = grow(ar.cost, (m+1)*(stride+1))
+		fillBand(ar.cost, ref, read, w)
 	}
-	for i := 1; i <= m; i++ {
-		cost[idx(i, 0)] = int32(i)
-		for j := 1; j <= n; j++ {
-			c := int32(1)
-			if ref[i-1] == read[j-1] {
-				c = 0
-			}
-			best := cost[idx(i-1, j-1)] + c
-			if d := cost[idx(i-1, j)] + 1; d < best {
-				best = d
-			}
-			if d := cost[idx(i, j-1)] + 1; d < best {
-				best = d
-			}
-			cost[idx(i, j)] = best
-		}
-	}
+	cost := ar.cost
+	idx := func(i, j int) int { return i*stride + off + j }
 
 	// Traceback from (m, n) to (0, 0), collecting ops in reverse.
-	ops := make([]Op, 0, max(m, n))
+	// A script has one op per reference base plus one per insertion, and
+	// there are at most d insertions.
+	ops := make([]Op, 0, m+w)
 	i, j := m, n
 	var choice [3]OpKind // candidate buffer reused per step
 	for i > 0 || j > 0 {
@@ -165,6 +166,84 @@ func Script(ref, read string, opts ScriptOptions) []Op {
 	return ops
 }
 
+// fillFull fills the whole (m+1)×(n+1) unit-cost DP matrix, row-major.
+func fillFull(cost []int32, ref, read string) {
+	m, n := len(ref), len(read)
+	cols := n + 1
+	for j := 0; j <= n; j++ {
+		cost[j] = int32(j)
+	}
+	for i := 1; i <= m; i++ {
+		row, prev := cost[i*cols:(i+1)*cols], cost[(i-1)*cols:i*cols]
+		row[0] = int32(i)
+		a := ref[i-1]
+		for j := 1; j <= n; j++ {
+			c := int32(1)
+			if a == read[j-1] {
+				c = 0
+			}
+			best := prev[j-1] + c
+			if d := prev[j] + 1; d < best {
+				best = d
+			}
+			if d := row[j-1] + 1; d < best {
+				best = d
+			}
+			row[j] = best
+		}
+	}
+}
+
+// outOfBand is the cost every cell outside the band reads as: larger than
+// any in-band cost, and far enough from overflow to add one to.
+const outOfBand = int32(1 << 29)
+
+// fillBand fills the DP cells with |i−j| <= w. Row i is 2w+2 slots long:
+// cell (i, j) sits at slot j−i+w of it, and the last slot holds outOfBand,
+// so both neighbours that leave the band — (i−1, i+w) above and (i, i−w−1)
+// to the left — land on a sentinel, in the fill and in the traceback alike.
+func fillBand(cost []int32, ref, read string, w int) {
+	m, n := len(ref), len(read)
+	width := 2*w + 2
+	for i := 0; i <= m; i++ {
+		cost[i*width+width-1] = outOfBand
+	}
+	for j := 0; j <= min(n, w); j++ {
+		cost[w+j] = int32(j)
+	}
+	for i := 1; i <= m; i++ {
+		base := i*(width-1) + w // cost[base+j] is cell (i, j)
+		up := base - (width - 1)
+		lo, hi := max(0, i-w), min(n, i+w)
+		left := outOfBand
+		if lo == 0 {
+			cost[base] = int32(i)
+			left, lo = int32(i), 1
+		}
+		a := ref[i-1]
+		rd := read[lo-1 : hi]
+		row := cost[base+lo : base+hi+1][:len(rd)]
+		// prev[t] is cell (i−1, lo−1+t): the diagonal of row[t], and the
+		// cell above row[t−1].
+		prev := cost[up+lo-1 : up+hi+1][:len(rd)+1]
+		for t := 0; t < len(rd); t++ { // by byte: range would step by rune
+			c := int32(1)
+			if a == rd[t] {
+				c = 0
+			}
+			best := prev[t] + c
+			if d := prev[t+1] + 1; d < best {
+				best = d
+			}
+			if d := left + 1; d < best {
+				best = d
+			}
+			row[t] = best
+			left = best
+		}
+	}
+}
+
 // Apply replays an edit script against ref and returns the resulting read.
 // It returns an error if the script does not consume ref exactly.
 func Apply(ref string, ops []Op) (string, error) {
@@ -210,11 +289,4 @@ func CostOf(ops []Op) int {
 		}
 	}
 	return n
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
