@@ -408,8 +408,9 @@ func BenchmarkDistance110(b *testing.B) {
 	}
 }
 
-// BenchmarkScript110 aligns two unrelated strands (d ≈ 60): the worst case,
-// where the band spans whole rows and Script fills the plain matrix.
+// BenchmarkScript110 aligns two unrelated strands (d ≈ 60), the far end of
+// the distance range: the bit-vector pass costs the same at any d, so only
+// the traceback's tie checks grow.
 func BenchmarkScript110(b *testing.B) {
 	r := rng.New(2)
 	x := randStrand(r, 110)

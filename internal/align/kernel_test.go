@@ -55,9 +55,9 @@ var nearPairAlphabets = []string{"ACGT", "ACGTN\x00\xff\xc9\x8ba"}
 // TestKernelMatchesReferenceNearPairs checks the kernel against the
 // references on the traffic it serves: noisy copies of one strand, at
 // lengths that straddle the 64-bit block boundaries, from noiseless to 20%
-// noise with and without burst deletions. These pairs run narrow bands and
-// the second (and later) bit-parallel blocks, which the unrelated short
-// pairs of the property tests never reach.
+// noise with and without burst deletions. These pairs run the second (and
+// later) bit-parallel blocks and trace back across strip boundaries, which
+// the unrelated short pairs of the property tests never reach.
 func TestKernelMatchesReferenceNearPairs(t *testing.T) {
 	trials := 8
 	if testing.Short() {
@@ -85,13 +85,13 @@ func TestKernelMatchesReferenceNearPairs(t *testing.T) {
 }
 
 // TestKernelMatchesReferenceEdgePairs covers empty strands, unrelated
-// pairs (full-matrix path) and lopsided lengths, where the band is set by
-// the length difference.
+// pairs and lopsided lengths, whose tracebacks end in long runs along row 0
+// or column 0.
 func TestKernelMatchesReferenceEdgePairs(t *testing.T) {
 	r := rng.New(77)
 	cases := [][2]string{
 		{"", ""}, {"", "A"}, {"ACGT", ""}, {"\x00", "\xff"},
-		{"0AAAAAAA00000", "ɋ0AAAA0000"}, // multi-byte rune inside the band
+		{"0AAAAAAA00000", "ɋ0AAAA0000"}, // multi-byte rune: the kernel works by byte
 		{strings.Repeat("A", 129), strings.Repeat("A", 128)},
 		{strings.Repeat("AC", 64), strings.Repeat("CA", 64)},
 	}

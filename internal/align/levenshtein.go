@@ -6,35 +6,47 @@
 // "gestalt-aligned" error profiles.
 //
 // Distance, DistanceAtMost and Script share one exact kernel (DESIGN §18):
-// a Myers/Hyyrö bit-parallel distance, and for Script a DP band of
-// half-width d filled from a pooled per-goroutine arena. The full-matrix
-// and row-DP forms they replaced live on in reference_test.go as the
+// a Myers/Hyyrö bit-parallel distance over a pooled per-goroutine arena.
+// Script keeps the pass's per-column bit vectors and traces back through
+// them (Hyyrö 2004, as in Edlib), with no DP matrix. The full-matrix and
+// row-DP forms they replaced live on in reference_test.go as the
 // differential references.
 package align
 
 import "sync"
 
 // arena is the reusable working memory of one kernel call: the
-// bit-parallel match masks and strip-boundary deltas, and Script's DP
-// cells. Arenas are pooled, so a goroutine reuses one across calls and
-// steady-state calls allocate nothing.
+// bit-parallel match masks and strip-boundary deltas, and the column
+// states Script traces back through. Arenas are pooled, so a goroutine
+// reuses one across calls and steady-state calls allocate nothing.
 type arena struct {
 	peq  []uint64
 	h    []uint8
-	cost []int32
+	cols []column
+}
+
+// column is one strip's state at one DP column: the vertical deltas down
+// the strip as +1 (pv) and −1 (mv) bit flags, bit r holding
+// D[64s+r+1][j] − D[64s+r][j], and top = D[64s][j], the cost of the row
+// just above the strip. Any cell of the strip is top plus a masked
+// popcount difference.
+type column struct {
+	pv, mv uint64
+	top    int32
 }
 
 var arenas = sync.Pool{New: func() any { return new(arena) }}
 
-// maxPooledCells caps the DP storage an arena keeps when it returns to the
-// pool, so one rare long alignment does not pin its matrix for good.
-const maxPooledCells = 1 << 20
+// maxPooledColumns caps the column states an arena keeps when it returns
+// to the pool, so one rare long alignment does not pin its vectors for
+// good. A 110-nt pair needs 2 strips × 111 columns.
+const maxPooledColumns = 1 << 16
 
 func getArena() *arena { return arenas.Get().(*arena) }
 
 func putArena(ar *arena) {
-	if cap(ar.cost) > maxPooledCells {
-		ar.cost = nil
+	if cap(ar.cols) > maxPooledColumns {
+		ar.cols = nil
 	}
 	arenas.Put(ar)
 }
@@ -49,13 +61,12 @@ func grow[T any](buf []T, n int) []T {
 }
 
 // distance returns the Levenshtein distance between a and b by the
-// Myers/Hyyrö bit-parallel algorithm: the shorter string is packed into
-// 64-row strips (a 110-nt strand fits in two) and each column of a strip
-// advances with a handful of word operations.
-func (ar *arena) distance(a, b string) int {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
+// Myers/Hyyrö bit-parallel algorithm: a is packed into 64-row strips (a
+// 110-nt strand fits in two) and each column of a strip advances with a
+// handful of word operations. With keep set it also records every strip's
+// state after every column in ar.cols, strip s column j at
+// s*(len(b)+1)+j, for Script's traceback.
+func (ar *arena) distance(a, b string, keep bool) int {
 	m, n := len(a), len(b)
 	if m == 0 {
 		return n
@@ -78,6 +89,9 @@ func (ar *arena) distance(a, b string) int {
 	for i := 0; i < m; i++ {
 		peq[i>>6*rows+int(sym[a[i]])] |= 1 << (i & 63)
 	}
+	if keep {
+		ar.cols = grow(ar.cols, strips*(n+1))
+	}
 
 	// Each strip runs across all of b with its vertical deltas in
 	// registers. h[j] carries the horizontal delta at column j from the
@@ -96,20 +110,23 @@ func (ar *arena) distance(a, b string) int {
 			bit = uint(m-1) & 63 // the last strip reports row m
 		}
 		pv, mv := ^uint64(0), uint64(0) // column 0: D[i][0] = i
-		for j := 0; j < len(h); j++ {
-			eq, hp, hn := eqs[sym[b[j]]], uint64(h[j]&1), uint64(h[j]>>1)
-			// Folding hn into eq before xv only sets bit 0 of xv, and when
-			// hn is set bit 0 of the new deltas is forced by the shifted-in
-			// flags (pv from mh, mv cleared by ph).
-			eq |= hn
-			xv := eq | mv
-			xh := (((eq & pv) + pv) ^ pv) | eq
-			ph := mv | ^(xh | pv)
-			mh := pv & xh
+		var ph, mh uint64
+		if !keep {
+			for j := range h {
+				pv, mv, ph, mh = advance(eqs[sym[b[j]]], pv, mv, h[j])
+				h[j] = uint8(ph>>bit&1 | mh>>bit&1<<1)
+			}
+			continue
+		}
+		// The same loop, recording each column's state.
+		cols := ar.cols[s*(n+1) : (s+1)*(n+1)]
+		top := int32(s << 6)
+		cols[0] = column{pv, mv, top}
+		for j := range h {
+			top += int32(h[j]&1) - int32(h[j]>>1)
+			pv, mv, ph, mh = advance(eqs[sym[b[j]]], pv, mv, h[j])
 			h[j] = uint8(ph>>bit&1 | mh>>bit&1<<1)
-			ph = ph<<1 | hp
-			mh = mh<<1 | hn
-			pv, mv = mh|^(xv|ph), ph&xv
+			cols[j+1] = column{pv, mv, top}
 		}
 	}
 	// h now holds row m's horizontal deltas: D[m][n] = m + their sum.
@@ -120,11 +137,34 @@ func (ar *arena) distance(a, b string) int {
 	return d
 }
 
+// advance moves one strip one column right: eq is the column's match
+// mask, pv and mv the strip's vertical deltas in the previous column, and
+// h the horizontal delta entering at the strip's top (+1 flag in bit 0,
+// −1 flag in bit 1). It returns the new column's vertical deltas and the
+// strip's horizontal +1 and −1 vectors, whose bit r is the delta leaving
+// row r.
+func advance(eq, pv, mv uint64, h uint8) (npv, nmv, ph, mh uint64) {
+	hp, hn := uint64(h&1), uint64(h>>1)
+	// Folding hn into eq before xv only sets bit 0 of xv, and when hn is
+	// set bit 0 of the new deltas is forced by the shifted-in flags (pv
+	// from mh, mv cleared by ph).
+	eq |= hn
+	xv := eq | mv
+	xh := (((eq & pv) + pv) ^ pv) | eq
+	ph = mv | ^(xh | pv)
+	mh = pv & xh
+	sp, sm := ph<<1|hp, mh<<1|hn
+	return sm | ^(xv | sp), sp & xv, ph, mh
+}
+
 // Distance returns the Levenshtein (unit-cost edit) distance between a and
 // b, in O(|a|·|b|/64) word operations.
 func Distance(a, b string) int {
+	if len(a) > len(b) {
+		a, b = b, a
+	}
 	ar := getArena()
-	d := ar.distance(a, b)
+	d := ar.distance(a, b, false)
 	putArena(ar)
 	return d
 }
@@ -140,13 +180,10 @@ func DistanceAtMost(a, b string, k int) (int, bool) {
 	if len(a)-len(b) > k || len(b)-len(a) > k {
 		return k + 1, false
 	}
-	ar := getArena()
-	d := ar.distance(a, b)
-	putArena(ar)
-	if d > k {
-		return k + 1, false
+	if d := Distance(a, b); d <= k {
+		return d, true
 	}
-	return d, true
+	return k + 1, false
 }
 
 // Similar reports whether the edit distance between a and b is at most k.

@@ -9,10 +9,10 @@ import (
 
 // The slow references every fast path in this package is checked against
 // (DESIGN §18). They are the production code as it stood before the
-// bit-parallel, banded kernel; only their names and first doc lines
+// bit-parallel kernel; only their names and first doc lines
 // changed.
 
-// refScript is the full-matrix Script the banded kernel replaced, kept
+// refScript is the full-matrix Script the bit-parallel kernel replaced, kept
 // verbatim as its differential reference. It returns a minimum-cost edit script transforming ref into read.
 // The number of non-Equal ops equals Distance(ref, read). Among equally
 // minimal scripts, the tie-break policy in opts picks one; the zero options
@@ -150,7 +150,8 @@ func refDistance(a, b string) int {
 
 // checkKernel checks every kernel entry point on one pair against the
 // references: Script in both tie-break modes (ops identical, RNG left at
-// the same position), CostOf(Script) == Distance, Apply round trip,
+// the same position), AppendScript onto a non-empty buffer,
+// CostOf(Script) == Distance, Apply round trip,
 // Distance against the row DP, and DistanceAtMost against Distance for
 // every k in [-1, max(|a|, |b|)]. It reports through t.Errorf, so it is
 // safe to call from any goroutine.
@@ -164,6 +165,11 @@ func checkKernel(t testing.TB, a, b string, seed uint64) bool {
 	ops := Script(a, b, ScriptOptions{})
 	if ref := refScript(a, b, ScriptOptions{}); !reflect.DeepEqual(ops, ref) {
 		t.Errorf("Script(%q, %q) differs from the full-matrix reference:\n got %v\nwant %v", a, b, ops, ref)
+		return false
+	}
+	prefix := []Op{{Kind: Ins, ReadBase: 'x'}}
+	if got := AppendScript(prefix, a, b, ScriptOptions{}); !reflect.DeepEqual(got, append(prefix[:1:1], ops...)) {
+		t.Errorf("AppendScript(prefix, %q, %q) = %v, want the prefix then %v", a, b, got, ops)
 		return false
 	}
 	if c := CostOf(ops); c != want {
