@@ -262,11 +262,13 @@ func (c ErrorCensus) String() string {
 // strands against non-empty references are skipped as erasures.
 func CensusErrors(refs, strands []dna.Strand) ErrorCensus {
 	var c ErrorCensus
+	var ops []align.Op
 	for i, ref := range refs {
 		if strands[i].Len() == 0 && ref.Len() > 0 {
 			continue
 		}
-		for _, op := range align.Script(string(ref), string(strands[i]), align.ScriptOptions{}) {
+		ops = align.AppendScript(ops[:0], string(ref), string(strands[i]), align.ScriptOptions{})
+		for _, op := range ops {
 			switch op.Kind {
 			case align.Sub:
 				c.Subs++

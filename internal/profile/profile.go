@@ -154,9 +154,10 @@ func Profile(ds *dataset.Dataset, opts Options) (*ErrorProfile, error) {
 				r = rng.New(opts.Seed ^ (0x9e3779b97f4a7c15 * uint64(w+1)))
 			}
 			so := make(map[soKey]*SecondOrderStat)
-			ex := extractor{randomize: opts.RandomizeScripts, affine: opts.Affine, affParams: affParams, rng: r}
+			ex := &extractor{randomize: opts.RandomizeScripts, affine: opts.Affine, affParams: affParams, rng: r}
 			for i := lo; i < hi; i++ {
 				c := ds.Clusters[i]
+				ex.markRuns(c.Ref)
 				for _, read := range c.Reads {
 					p.addRead(c.Ref, read, ex, so)
 				}
@@ -203,16 +204,36 @@ func newProfile(strandLen int) *ErrorProfile {
 	}
 }
 
-// extractor selects the edit-script extraction policy per worker.
+// extractor selects the edit-script extraction policy per worker, and
+// holds the worker's reusable state: the edit script buffer, and the
+// homopolymer runs (length >= 3) of the current cluster's reference as
+// per-position marks and a base count.
 type extractor struct {
 	randomize bool
 	affine    bool
 	affParams align.AffineParams
 	rng       *rng.RNG
+	ops       []align.Op
+	inRun     []bool
+	homoBases int
 }
 
-// script extracts the edit script under the configured policy.
-func (e extractor) script(ref, read dna.Strand) []align.Op {
+// markRuns records ref's homopolymer runs for the reads that follow.
+func (e *extractor) markRuns(ref dna.Strand) {
+	e.inRun = append(e.inRun[:0], make([]bool, ref.Len())...)
+	e.homoBases = 0
+	for _, run := range ref.Homopolymers(3) {
+		for q := run.Pos; q < run.Pos+run.Len; q++ {
+			e.inRun[q] = true
+		}
+		e.homoBases += run.Len
+	}
+}
+
+// script extracts the edit script under the configured policy. The
+// unit-cost script reuses the worker's buffer, so it is valid until the
+// next call.
+func (e *extractor) script(ref, read dna.Strand) []align.Op {
 	if e.affine {
 		ops, err := align.AffineScript(string(ref), string(read), e.affParams)
 		if err != nil {
@@ -221,24 +242,21 @@ func (e extractor) script(ref, read dna.Strand) []align.Op {
 		}
 		return ops
 	}
-	return align.Script(string(ref), string(read), align.ScriptOptions{Randomize: e.randomize, RNG: e.rng})
+	e.ops = align.AppendScript(e.ops[:0], string(ref), string(read), align.ScriptOptions{Randomize: e.randomize, RNG: e.rng})
+	return e.ops
 }
 
 // addRead extracts the edit script of one read and accumulates statistics.
-func (p *ErrorProfile) addRead(ref, read dna.Strand, ex extractor, so map[soKey]*SecondOrderStat) {
+// ex must hold the runs of ref (markRuns).
+func (p *ErrorProfile) addRead(ref, read dna.Strand, ex *extractor, so map[soKey]*SecondOrderStat) {
 	p.Reads++
 	p.RefBases += ref.Len()
 	for i := 0; i < ref.Len(); i++ {
 		p.BaseCounts[ref.At(i)]++
 	}
-	// Mark homopolymer-run membership (runs >= 3) for the boost statistic.
-	inRun := make([]bool, ref.Len())
-	for _, run := range ref.Homopolymers(3) {
-		for q := run.Pos; q < run.Pos+run.Len; q++ {
-			inRun[q] = true
-		}
-		p.HomoBases += run.Len
-	}
+	// Homopolymer-run membership (runs >= 3) for the boost statistic.
+	inRun := ex.inRun
+	p.HomoBases += ex.homoBases
 	ops := ex.script(ref, read)
 
 	recordSO := func(kind align.OpKind, from, to dna.Base, pos int) {

@@ -44,14 +44,9 @@ func (m MSA) Reconstruct(cluster []dna.Strand, length int) dna.Strand {
 	if est.Len() == 0 {
 		return ""
 	}
-	for r := 0; r < m.rounds(); r++ {
-		next := polish(cluster, est)
-		if next == est {
-			break
-		}
-		est = next
-	}
-	return est
+	sc := getScratch()
+	defer putScratch(sc)
+	return sc.refine(cluster, est, nil, m.rounds())
 }
 
 // centerCopy returns the cluster member minimising the total edit distance

@@ -172,14 +172,7 @@ func (p *Pool) RetrieveReport(key string, reads []dna.Strand) ([]byte, RetrieveR
 	}
 	clusters := cluster.Greedy(selected, cluster.Config{})
 	rep.Clusters = len(clusters)
-	length := p.opts.Archive.StrandLength()
-	var recovered []dna.Strand
-	for _, members := range clusters {
-		if len(members) == 0 {
-			continue
-		}
-		recovered = append(recovered, p.opts.Reconstructor.Reconstruct(members, length))
-	}
+	recovered := recon.ReconstructClusters(p.opts.Reconstructor, clusters, p.opts.Archive.StrandLength())
 	data, dr, err := p.opts.Archive.DecodeReport(recovered)
 	rep.Clean, rep.Repaired, rep.Erased = dr.Clean, dr.Repaired, dr.Erased
 	rep.Unrecovered = dr.Unrecovered
