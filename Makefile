@@ -40,8 +40,9 @@ chaos-smoke:
 
 # Short fuzz pass over every parser that consumes on-disk bytes — the
 # durable container reader, the pool loader, the FASTA/FASTQ parsers, the
-# fault-injection spec DSL, and the channel stage-pipeline DSL — and over
-# the alignment kernel against its full-matrix and row-DP references.
+# fault-injection spec DSL, and the channel stage-pipeline DSL — over the
+# alignment kernel against its full-matrix and row-DP references, and over
+# the clustering's minimizer sketch against its sort-based reference.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadContainer -fuzztime=10s ./internal/durable/
 	$(GO) test -run='^$$' -fuzz=FuzzLoadPool -fuzztime=10s ./internal/store/
@@ -50,10 +51,11 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseSpec -fuzztime=10s ./internal/faults/
 	$(GO) test -run='^$$' -fuzz=FuzzParseStages -fuzztime=10s ./internal/channel/
 	$(GO) test -run='^$$' -fuzz=FuzzScript -fuzztime=10s ./internal/align/
+	$(GO) test -run='^$$' -fuzz=FuzzMinimizers -fuzztime=10s ./internal/cluster/
 
 # Benchmarks: one pass over the Go benchmarks (smoke, 1 iteration each)
-# plus the machine-readable simulate, transmit and alignment hot-path
-# measurement CI archives as an artifact.
+# plus the machine-readable simulate, transmit, alignment, clustering,
+# profiling and Iterative measurement CI archives as an artifact.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
 	$(GO) run ./cmd/dnabench -json BENCH_sim.json

@@ -11,14 +11,20 @@ import (
 
 	"dnastore/internal/align"
 	"dnastore/internal/channel"
+	"dnastore/internal/cluster"
+	"dnastore/internal/dataset"
 	"dnastore/internal/dist"
 	"dnastore/internal/dna"
+	"dnastore/internal/profile"
+	"dnastore/internal/recon"
 	"dnastore/internal/rng"
+	"dnastore/internal/wetlab"
 )
 
 // The -json / -compare benchmark modes: machine-readable measurements of
 // the simulate hot path — channel.Simulator.Simulate over fixed synthetic
-// workloads — and of the packed transmit and alignment kernels, written
+// workloads — of the packed transmit and alignment kernels, and of the
+// clustering, profiling and Iterative layers above the kernel, written
 // as one JSON document so CI can archive BENCH_sim.json per commit, and
 // diffed against a committed baseline so throughput regressions fail the
 // build instead of landing silently.
@@ -141,17 +147,18 @@ func benchWorkloads() []benchWorkload {
 		// The alignment kernel, one pair per op: a read under about 6%
 		// Nanopore-mix noise against its reference — the traffic of
 		// profiling, clustering and Iterative — and an unrelated pair, the
-		// worst case, where Script's band spans whole rows. DistanceAtMost
-		// works from a pooled arena and must not allocate.
+		// far end of the distance range. Both entry points work from a
+		// pooled arena, and Script appends into a reused buffer, so neither
+		// may allocate.
 		{
-			name: "align.script/noisy110", refLen: 110,
+			name: "align.script/noisy110", refLen: 110, zeroAlloc: true,
 			run: func(b *testing.B, seed uint64) {
 				ref, read := noisyBenchPair(seed)
 				benchScript(b, ref, read)
 			},
 		},
 		{
-			name: "align.script/unrelated110", refLen: 110,
+			name: "align.script/unrelated110", refLen: 110, zeroAlloc: true,
 			run: func(b *testing.B, seed uint64) {
 				refs := channel.RandomReferences(2, 110, seed)
 				benchScript(b, string(refs[0]), string(refs[1]))
@@ -169,7 +176,80 @@ func benchWorkloads() []benchWorkload {
 				}
 			},
 		},
+		// The three align-bound layers of the calibrate-and-evaluate loop,
+		// each on the input shape that loop gives it: Greedy over a
+		// shuffled 300-reference pool at 6x, profiling of a 300-cluster
+		// wetlab dataset, and Iterative over coverage-6 clusters.
+		{
+			name: "cluster.greedy/1800reads", clusters: 300, refLen: 110, coverage: 6,
+			run: func(b *testing.B, seed uint64) {
+				pool := greedyBenchPool(seed)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					benchSink += len(cluster.GreedyIndices(pool, cluster.Config{}))
+				}
+			},
+		},
+		{
+			name: "profile.reads/300clusters", clusters: 300, refLen: 110,
+			run: func(b *testing.B, seed uint64) {
+				ds := profileBenchDataset(seed)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					p, err := profile.Profile(ds, profile.Options{})
+					if err != nil {
+						b.Fatal(err)
+					}
+					benchSink += p.Reads
+				}
+			},
+		},
+		{
+			name: "recon.iterative/cov6", clusters: reconBenchClusters, refLen: 110, coverage: 6,
+			run: func(b *testing.B, seed uint64) {
+				ds := reconBenchDataset(seed)
+				it := recon.NewIterative()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for _, c := range ds.Clusters {
+						benchSink += it.Reconstruct(c.Reads, c.Ref.Len()).Len()
+					}
+				}
+			},
+		},
 	}
+}
+
+// greedyBenchPool returns the evaluate loop's clustering input: 300
+// seeded 110-nt references read at exactly 6x through the wetlab
+// ground-truth channel, shuffled into one 1800-read pool.
+func greedyBenchPool(seed uint64) []dna.Strand {
+	refs := channel.RandomReferences(300, 110, seed)
+	sim := channel.Simulator{Channel: wetlab.GroundTruthChannel(0.059), Coverage: channel.FixedCoverage(6)}
+	return sim.Simulate("bench-greedy", refs, seed).AllReads(rng.New(seed + 1))
+}
+
+// profileBenchDataset returns the evaluate loop's profiling input: a
+// wetlab.DefaultConfig-shaped dataset cut to 300 clusters.
+func profileBenchDataset(seed uint64) *dataset.Dataset {
+	cfg := wetlab.DefaultConfig()
+	cfg.NumClusters, cfg.Seed = 300, seed
+	return wetlab.MustGenerate(cfg)
+}
+
+// reconBenchClusters is the number of clusters recon.iterative/cov6
+// reconstructs per op.
+const reconBenchClusters = 100
+
+// reconBenchDataset returns reconBenchClusters 110-nt references with 6
+// reads each under 6% equal-mix noise.
+func reconBenchDataset(seed uint64) *dataset.Dataset {
+	refs := channel.RandomReferences(reconBenchClusters, 110, seed)
+	sim := channel.Simulator{Channel: channel.NewNaive("bench-recon", channel.EqualMix(0.06)), Coverage: channel.FixedCoverage(6)}
+	return sim.Simulate("bench-recon", refs, seed+1)
 }
 
 // benchSink keeps the compiler from discarding a measured call's result.
@@ -183,13 +263,16 @@ func noisyBenchPair(seed uint64) (string, string) {
 	return string(ref), string(read)
 }
 
-// benchScript measures align.Script on one pair under the deterministic
-// tie-break, the policy the profiler and Iterative use.
+// benchScript measures align.AppendScript on one pair under the
+// deterministic tie-break into a reused buffer, as the profiler and
+// Iterative call it.
 func benchScript(b *testing.B, ref, read string) {
+	ops := align.AppendScript(nil, ref, read, align.ScriptOptions{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchSink += len(align.Script(ref, read, align.ScriptOptions{}))
+		ops = align.AppendScript(ops[:0], ref, read, align.ScriptOptions{})
+		benchSink += len(ops)
 	}
 }
 
