@@ -96,12 +96,9 @@ func TestCLIWorkflow(t *testing.T) {
 	if !strings.Contains(out, "aggregate") || !strings.Contains(out, "Top 10 second-order errors") {
 		t.Errorf("dnaprofile output missing sections:\n%s", out)
 	}
-	p, legacy, err := profile.ReadFile(profJSON)
+	p, err := profile.ReadFile(profJSON)
 	if err != nil {
 		t.Fatalf("saved profile unreadable: %v", err)
-	}
-	if legacy {
-		t.Error("dnaprofile wrote a legacy (uncontainered) profile")
 	}
 	if p.AggregateRate() < 0.04 || p.AggregateRate() > 0.09 {
 		t.Errorf("saved profile aggregate = %v", p.AggregateRate())

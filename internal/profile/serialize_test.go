@@ -2,10 +2,15 @@ package profile
 
 import (
 	"bytes"
+	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"dnastore/internal/channel"
+	"dnastore/internal/durable"
 	"dnastore/internal/wetlab"
 )
 
@@ -51,6 +56,40 @@ func TestProfileJSONRoundTrip(t *testing.T) {
 		if math.Abs(a.SecondOrder[i].Rate-b.SecondOrder[i].Rate) > 1e-12 {
 			t.Errorf("second-order %d rate changed", i)
 		}
+	}
+}
+
+// TestReadFileRejectsBareJSON: ReadFile reads only durable containers. A
+// bare-JSON profile, the format written before containers existed, fails
+// with durable.ErrNotContainer instead of loading.
+func TestReadFileRejectsBareJSON(t *testing.T) {
+	p, err := Profile(simulate(channel.NewNaive("n", channel.Rates{Sub: 0.02, Del: 0.01}), 40, 60, 4, 3), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	container := filepath.Join(dir, "profile.dnac")
+	if err := p.WriteFile(container); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadFile(container)
+	if err != nil {
+		t.Fatalf("container profile unreadable: %v", err)
+	}
+	if got.Summary() != p.Summary() {
+		t.Errorf("summary changed:\n%s\n%s", got.Summary(), p.Summary())
+	}
+
+	var buf bytes.Buffer
+	if err := p.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	bare := filepath.Join(dir, "profile.json")
+	if err := os.WriteFile(bare, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadFile(bare); !errors.Is(err, durable.ErrNotContainer) {
+		t.Errorf("bare-JSON profile: err = %v, want durable.ErrNotContainer", err)
 	}
 }
 
