@@ -39,52 +39,41 @@ func (p *Pool) SaveFile(path string) error {
 // loader and return legacy=true so callers can nudge the operator to
 // re-save.
 func LoadFile(path string) (p *Pool, legacy bool, err error) {
-	frames, err := durable.ReadContainerFile(path, durable.KindPool)
-	if errors.Is(err, durable.ErrNotContainer) {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, false, err
-		}
-		defer f.Close()
-		p, err := Load(f)
-		if err != nil {
-			return nil, true, err
-		}
-		return p, true, nil
-	}
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, false, err
 	}
-	for _, fr := range frames {
-		if fr.Name == poolFrame {
-			p, err := Load(bytes.NewReader(fr.Payload))
-			return p, false, err
-		}
+	defer f.Close()
+	p, legacy, err = loadPool(f)
+	if err != nil && !legacy {
+		err = fmt.Errorf("store: %s: %w", path, err)
 	}
-	return nil, false, fmt.Errorf("store: %s has no %q section", path, poolFrame)
+	return p, legacy, err
 }
 
-// LoadReader loads a pool from an in-memory stream, sniffing container
-// versus legacy JSON the same way LoadFile does. It exists for callers
-// (and fuzzers) that do not have a file.
-func LoadReader(r io.Reader) (*Pool, bool, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, false, err
-	}
-	_, frames, err := durable.ReadAll(bytes.NewReader(data))
+// loadPool decodes a pool from r: a durable container must verify and hold
+// a pool, and bytes without the container magic are read again from the
+// start as a legacy bare-JSON snapshot (legacy=true).
+func loadPool(r io.ReadSeeker) (p *Pool, legacy bool, err error) {
+	kind, frames, err := durable.ReadAll(r)
 	if errors.Is(err, durable.ErrNotContainer) {
-		p, err := Load(bytes.NewReader(data))
+		if _, err := r.Seek(0, io.SeekStart); err != nil {
+			return nil, true, err
+		}
+		p, err := Load(r)
 		return p, true, err
 	}
 	if err != nil {
 		return nil, false, err
 	}
+	if kind != durable.KindPool {
+		return nil, false, fmt.Errorf("holds a %s container, want %s", kind, durable.KindPool)
+	}
 	for _, fr := range frames {
 		if fr.Name == poolFrame {
 			p, err := Load(bytes.NewReader(fr.Payload))
 			return p, false, err
 		}
 	}
-	return nil, false, fmt.Errorf("store: container has no %q section", poolFrame)
+	return nil, false, fmt.Errorf("no %q section", poolFrame)
 }

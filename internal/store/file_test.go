@@ -74,6 +74,24 @@ func TestPoolFileLegacyJSON(t *testing.T) {
 	}
 }
 
+// TestPoolFileRejectsWrongKind: a verified container of another kind is
+// not a pool, even when it carries a pool-shaped section.
+func TestPoolFileRejectsWrongKind(t *testing.T) {
+	p := filePool(t)
+	var buf bytes.Buffer
+	if err := p.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "profile.dnac")
+	if err := durable.WriteContainerFile(path, durable.KindProfile, durable.Options{},
+		func(w *durable.Writer) error { return w.WriteFrame(poolFrame, buf.Bytes()) }); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := LoadFile(path); err == nil || !strings.Contains(err.Error(), "want pool") {
+		t.Errorf("wrong-kind container: err = %v, want a kind mismatch", err)
+	}
+}
+
 func TestPoolFileSurvivesBitRot(t *testing.T) {
 	p := filePool(t)
 	path := filepath.Join(t.TempDir(), "pool.dnac")

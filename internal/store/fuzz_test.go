@@ -3,12 +3,14 @@ package store
 import (
 	"bytes"
 	"testing"
+
+	"dnastore/internal/durable"
 )
 
-// FuzzLoadPool hardens the pool loader — both the legacy JSON path and the
-// container path — against arbitrary bytes: forged snapshots, invalid
-// strands, duplicate keys and mutated containers must error cleanly, never
-// panic.
+// FuzzLoadPool hardens the pool loader LoadFile runs — the legacy JSON
+// path, the container path and its kind check — against arbitrary bytes:
+// forged snapshots, invalid strands, duplicate keys, mutated containers and
+// containers of another kind must error cleanly, never panic.
 func FuzzLoadPool(f *testing.F) {
 	f.Add([]byte(`{"version":1,"options":{},"objects":[]}`))
 	f.Add([]byte(`{"version":1,"options":{"payload_bytes":8},"objects":[{"key":"a","primer":"ACGT","strands":["AACC"]}]}`))
@@ -19,17 +21,21 @@ func FuzzLoadPool(f *testing.F) {
 	f.Add([]byte(`not json at all`))
 	f.Add([]byte(``))
 
-	// A valid container pool and a truncated copy.
+	// A valid pool as a bare snapshot and as a container, a truncated
+	// header, and the same snapshot in a container of the wrong kind.
 	p := New(Options{Seed: 1})
 	p.Store("k", []byte("fuzz seed payload"))
-	var buf bytes.Buffer
-	if err := p.Save(&buf); err == nil {
-		f.Add(buf.Bytes())
+	var snap bytes.Buffer
+	if err := p.Save(&snap); err != nil {
+		f.Fatal(err)
 	}
+	f.Add(snap.Bytes())
+	f.Add(container(f, durable.KindPool, snap.Bytes()))
 	f.Add([]byte("DNAC\x01\x01\x10\x00"))
+	f.Add(container(f, durable.KindProfile, snap.Bytes()))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, _, err := LoadReader(bytes.NewReader(data))
+		p, _, err := loadPool(bytes.NewReader(data))
 		if err == nil && p == nil {
 			t.Error("nil pool without error")
 		}
@@ -43,4 +49,20 @@ func FuzzLoadPool(f *testing.F) {
 			_ = p.NumStrands()
 		}
 	})
+}
+
+// container wraps a pool snapshot in a durable container of the given kind.
+func container(f *testing.F, kind durable.Kind, snapshot []byte) []byte {
+	var buf bytes.Buffer
+	w, err := durable.NewWriter(&buf, kind, durable.Options{Parity: durable.DefaultParity})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := w.WriteFrame(poolFrame, snapshot); err != nil {
+		f.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		f.Fatal(err)
+	}
+	return buf.Bytes()
 }
