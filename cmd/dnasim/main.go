@@ -129,11 +129,7 @@ func main() {
 	ctx = obs.WithTimer(ctx, stages)
 
 	sim := channel.Simulator{Channel: ch, Coverage: cov}
-	var (
-		ds     *dataset.Dataset
-		simErr error
-		ckpt   *channel.Checkpoint
-	)
+	var ckpt *channel.Checkpoint
 	if *ckptPath != "" {
 		ckpt, err = channel.OpenCheckpoint(*ckptPath, "simulated", refs, *seed, sim.Describe())
 		if err != nil {
@@ -153,13 +149,12 @@ func main() {
 				}
 			}
 		}
-		ds, simErr = sim.SimulateCheckpoint(ctx, "simulated", refs, *seed, ckpt)
+	} else if *crashAfter > 0 {
+		fail(errors.New("-crash-after requires -checkpoint"))
+	}
+	ds, simErr := sim.SimulateRange(ctx, "simulated", refs, *seed, 0, len(refs), ckpt)
+	if ckpt != nil {
 		ckpt.Close()
-	} else {
-		if *crashAfter > 0 {
-			fail(errors.New("-crash-after requires -checkpoint"))
-		}
-		ds, simErr = sim.SimulateCtx(ctx, "simulated", refs, *seed)
 	}
 	if ds == nil {
 		fail(simErr)

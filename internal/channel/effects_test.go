@@ -395,11 +395,11 @@ func TestChimeraShardable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, err := sim.SimulateRangeCtx(context.Background(), "simulated", refs, seed, 0, k)
+		a, err := sim.SimulateRange(context.Background(), "simulated", refs, seed, 0, k, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := sim.SimulateRangeCtx(context.Background(), "simulated", refs, seed, k, len(refs)-k)
+		b, err := sim.SimulateRange(context.Background(), "simulated", refs, seed, k, len(refs)-k, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -44,7 +44,7 @@ func TestSimulateRangeConcatIdentity(t *testing.T) {
 		if first+count > len(refs) {
 			count = len(refs) - first
 		}
-		shard, err := sim.SimulateRangeCtx(context.Background(), "simulated", refs, seed, first, count)
+		shard, err := sim.SimulateRange(context.Background(), "simulated", refs, seed, first, count, nil)
 		if err != nil {
 			t.Fatalf("shard [%d,%d): %v", first, first+count, err)
 		}
@@ -71,7 +71,7 @@ func TestSimulateRangeCheckpointResume(t *testing.T) {
 		Channel:  NewNaive("rangetest", Rates{Sub: 0.01, Ins: 0.005, Del: 0.02}),
 		Coverage: FixedCoverage(4),
 	}
-	want, err := sim.SimulateRangeCtx(context.Background(), "simulated", refs, seed, first, count)
+	want, err := sim.SimulateRange(context.Background(), "simulated", refs, seed, first, count, nil)
 	if err != nil {
 		t.Fatalf("reference range run: %v", err)
 	}
@@ -90,7 +90,7 @@ func TestSimulateRangeCheckpointResume(t *testing.T) {
 			cancel()
 		}
 	}
-	_, err = sim.SimulateRangeCheckpoint(ctx, "simulated", refs, seed, first, count, ckpt)
+	_, err = sim.SimulateRange(ctx, "simulated", refs, seed, first, count, ckpt)
 	if err == nil {
 		t.Fatal("interrupted run unexpectedly completed clean")
 	}
@@ -111,7 +111,7 @@ func TestSimulateRangeCheckpointResume(t *testing.T) {
 	if ckpt2.Completed() < journaled {
 		t.Fatalf("resume lost progress: %d < %d committed clusters", ckpt2.Completed(), journaled)
 	}
-	got, err := sim.SimulateRangeCheckpoint(context.Background(), "simulated", refs, seed, first, count, ckpt2)
+	got, err := sim.SimulateRange(context.Background(), "simulated", refs, seed, first, count, ckpt2)
 	if err != nil {
 		t.Fatalf("resumed run: %v", err)
 	}
@@ -126,7 +126,7 @@ func TestSimulateRangeBounds(t *testing.T) {
 	refs := RandomReferences(10, 20, 1)
 	sim := Simulator{Channel: NewNaive("rangetest", Rates{Sub: 0.01}), Coverage: FixedCoverage(2)}
 	for _, tc := range [][2]int{{-1, 5}, {0, -1}, {5, 6}, {11, 0}} {
-		if _, err := sim.SimulateRangeCtx(context.Background(), "x", refs, 1, tc[0], tc[1]); err == nil {
+		if _, err := sim.SimulateRange(context.Background(), "x", refs, 1, tc[0], tc[1], nil); err == nil {
 			t.Errorf("range [%d,+%d): no error", tc[0], tc[1])
 		}
 	}

@@ -53,7 +53,7 @@ type ProgressFunc func(completed, total int)
 type progressKey struct{}
 
 // WithProgress returns a context that makes every SimulateCtx,
-// SimulateCheckpoint or Pool sequencing run under it report per-cluster
+// SimulateRange or Pool sequencing run under it report per-cluster
 // progress to fn. The hook rides the context rather than the Simulator so
 // that callers several layers up (an HTTP job server timing out stalled
 // work) can observe progress without threading a parameter through every
@@ -142,22 +142,29 @@ func (s Simulator) SimulateCtx(ctx context.Context, name string, refs []dna.Stra
 	return s.simulateWith(ctx, name, refs, seed, 0, len(refs), nil)
 }
 
-// SimulateRangeCtx simulates only the cluster range [first, first+count)
-// of refs, returning a dataset with exactly count clusters in range order.
+// SimulateRange simulates only the cluster range [first, first+count) of
+// refs, returning a dataset with exactly count clusters in range order.
 // Every cluster's RNG still derives from its global index, so the
 // concatenation of range datasets covering [0, len(refs)) is byte-identical
 // to one SimulateCtx run over the whole reference set — the property that
 // makes cluster-range sharding across a fleet of nodes merge-safe.
-func (s Simulator) SimulateRangeCtx(ctx context.Context, name string, refs []dna.Strand, seed uint64, first, count int) (*dataset.Dataset, error) {
-	return s.simulateWith(ctx, name, refs, seed, first, count, nil)
+//
+// A non-nil ckpt makes progress durable: clusters already in the journal
+// are restored without re-simulation, and each newly completed cluster is
+// committed before counting as done (a failed Commit surfaces as that
+// cluster's ClusterError). Frames carry global cluster indices and the
+// journal identity binds to the full reference set, so a shard journal
+// written by one node can be resumed by another holding the same spec —
+// the handoff the fleet coordinator uses when a worker dies mid-shard on a
+// shared data directory. A nil ckpt keeps no journal.
+func (s Simulator) SimulateRange(ctx context.Context, name string, refs []dna.Strand, seed uint64, first, count int, ckpt *Checkpoint) (*dataset.Dataset, error) {
+	return s.simulateWith(ctx, name, refs, seed, first, count, ckpt)
 }
 
-// simulateWith is the shared engine behind SimulateCtx and
-// SimulateCheckpoint (and their Range variants): it simulates the cluster
-// range [first, first+count) of refs. Checkpointed clusters are restored
-// without re-simulation; newly completed ones are committed before they
-// count. Checkpoint frames carry global cluster indices, so a shard's
-// journal can be resumed by any node holding the same spec.
+// simulateWith is the shared engine behind SimulateCtx and SimulateRange:
+// it simulates the cluster range [first, first+count) of refs.
+// Checkpointed clusters are restored without re-simulation; newly
+// completed ones are committed before they count.
 func (s Simulator) simulateWith(ctx context.Context, name string, refs []dna.Strand, seed uint64, first, count int, ckpt *Checkpoint) (*dataset.Dataset, error) {
 	if s.Channel == nil {
 		return nil, fmt.Errorf("channel: Simulator without a Channel")

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"dnastore/internal/channel"
-	"dnastore/internal/dataset"
 	"dnastore/internal/obs"
 	"dnastore/internal/store"
 )
@@ -313,15 +312,7 @@ func (s *Server) executeSimulate(ctx context.Context, j *Job) jobOutcome {
 		}
 	}
 
-	var (
-		ds     *dataset.Dataset
-		simErr error
-	)
-	if ckpt != nil {
-		ds, simErr = sim.SimulateRangeCheckpoint(ctx, "simulated", refs, spec.Seed, first, count, ckpt)
-	} else {
-		ds, simErr = sim.SimulateRangeCtx(ctx, "simulated", refs, spec.Seed, first, count)
-	}
+	ds, simErr := sim.SimulateRange(ctx, "simulated", refs, spec.Seed, first, count, ckpt)
 	if simErr != nil {
 		var se *channel.SimulationError
 		if errors.As(simErr, &se) && se.Canceled != nil {
