@@ -104,24 +104,6 @@ func TestAffinePrefersGapOverScatteredSubs(t *testing.T) {
 	}
 }
 
-func TestAffineCost(t *testing.T) {
-	p := DefaultAffine()
-	// One burst of 3 deletions: open + 3*extend = 4 + 3 = 7.
-	ref := "ACGTACGTAC"
-	read := ref[:3] + ref[6:]
-	cost, err := AffineCost(ref, read, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cost != p.GapOpen+3*p.GapExtend {
-		t.Errorf("burst cost = %d, want %d", cost, p.GapOpen+3*p.GapExtend)
-	}
-	// Identity costs zero.
-	if c, _ := AffineCost(ref, ref, p); c != 0 {
-		t.Errorf("identity cost = %d", c)
-	}
-}
-
 func TestAffineEmptyStrings(t *testing.T) {
 	p := DefaultAffine()
 	ops, err := AffineScript("", "ACG", p)

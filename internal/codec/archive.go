@@ -390,12 +390,6 @@ func (a Archive) StrandLength() int {
 	return a.codec().Encode(make([]byte, recLen)).Len()
 }
 
-// SortStrands orders strands deterministically (for stable on-disk
-// output); strand content order has no semantic meaning after Encode.
-func SortStrands(strands []dna.Strand) {
-	sort.Slice(strands, func(i, j int) bool { return strands[i] < strands[j] })
-}
-
 // whiten XORs a chunk with a SplitMix64 keystream keyed by the strand
 // index. Applied before the group parity is computed (parity chunks are
 // already pseudorandom and are not whitened); XOR makes it self-inverse.

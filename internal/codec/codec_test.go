@@ -325,51 +325,6 @@ func TestDataChunkCount(t *testing.T) {
 	}
 }
 
-func TestXORRoundTrip(t *testing.T) {
-	chunks := [][]byte{{1, 2}, {3, 4}, {5, 6}, {7, 8}, {9, 10}}
-	enc, err := XOREncode(chunks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(enc) != 5+3 {
-		t.Fatalf("encoded %d chunks", len(enc))
-	}
-	// Lose one chunk per pair.
-	enc[0] = nil // member of pair 0
-	enc[3] = nil // member of pair 1
-	enc[7] = nil // parity of pair 2 (lone member 4)
-	if err := XORRecover(enc, 5); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(enc[0], []byte{1, 2}) || !bytes.Equal(enc[3], []byte{7, 8}) {
-		t.Error("XOR recovery wrong")
-	}
-}
-
-func TestXORRecoverFailsTwoLosses(t *testing.T) {
-	chunks := [][]byte{{1}, {2}}
-	enc, _ := XOREncode(chunks)
-	enc[0], enc[1] = nil, nil
-	if err := XORRecover(enc, 2); err == nil {
-		t.Error("two losses in one pair recovered")
-	}
-}
-
-func TestXORErrors(t *testing.T) {
-	if _, err := XOREncode(nil); err == nil {
-		t.Error("empty input accepted")
-	}
-	if _, err := XOREncode([][]byte{{1}, {2, 3}}); err == nil {
-		t.Error("ragged chunks accepted")
-	}
-	if err := XORRecover([][]byte{{1}}, 0); err == nil {
-		t.Error("bad nData accepted")
-	}
-	if err := XORRecover([][]byte{{1}, {2}}, 2); err == nil {
-		t.Error("bad layout accepted")
-	}
-}
-
 func TestGeneratePrimers(t *testing.T) {
 	r := rng.New(5)
 	cfg := PrimerConfig{}

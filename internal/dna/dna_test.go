@@ -94,18 +94,11 @@ func TestStrandAtAndBases(t *testing.T) {
 			t.Errorf("At(%d) = %v, want %v", i, s.At(i), w)
 		}
 	}
-	got := s.Bases()
+	got := s.AppendBases(nil)
 	for i := range want {
 		if got[i] != want[i] {
-			t.Errorf("Bases()[%d] = %v, want %v", i, got[i], want[i])
+			t.Errorf("AppendBases()[%d] = %v, want %v", i, got[i], want[i])
 		}
-	}
-}
-
-func TestFromBasesRoundTrip(t *testing.T) {
-	s := Strand("GATTACA")
-	if got := FromBases(s.Bases()); got != s {
-		t.Errorf("FromBases(Bases()) = %q, want %q", got, s)
 	}
 }
 
@@ -118,20 +111,14 @@ func TestReverse(t *testing.T) {
 	}
 }
 
-func TestReverseComplement(t *testing.T) {
-	if got := Strand("AACG").ReverseComplement(); got != "CGTT" {
-		t.Errorf("ReverseComplement = %q, want CGTT", got)
-	}
-}
-
 func TestReverseIsInvolutionQuick(t *testing.T) {
 	f := func(raw []uint8) bool {
 		bs := make([]Base, len(raw))
 		for i, r := range raw {
 			bs[i] = Base(r % NumBases)
 		}
-		s := FromBases(bs)
-		return s.Reverse().Reverse() == s && s.ReverseComplement().ReverseComplement() == s
+		s := Strand(AppendLetters(nil, bs))
+		return s.Reverse().Reverse() == s
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -153,16 +140,6 @@ func TestGCRatio(t *testing.T) {
 		if got := c.s.GCRatio(); got != c.want {
 			t.Errorf("GCRatio(%q) = %v, want %v", c.s, got, c.want)
 		}
-	}
-}
-
-func TestCount(t *testing.T) {
-	s := Strand("AACGTA")
-	if got := s.Count(A); got != 3 {
-		t.Errorf("Count(A) = %d, want 3", got)
-	}
-	if got := s.Count(G); got != 1 {
-		t.Errorf("Count(G) = %d, want 1", got)
 	}
 }
 
@@ -225,7 +202,7 @@ func TestHomopolymersCoverStrandQuick(t *testing.T) {
 		for i, r := range raw {
 			bs[i] = Base(r % NumBases)
 		}
-		s := FromBases(bs)
+		s := Strand(AppendLetters(nil, bs))
 		runs := s.Homopolymers(1)
 		total := 0
 		prevEnd := 0
@@ -249,20 +226,6 @@ func TestHomopolymersCoverStrandQuick(t *testing.T) {
 	}
 }
 
-func TestKmerCounts(t *testing.T) {
-	s := Strand("AAAT")
-	counts := s.KmerCounts(2)
-	if counts["AA"] != 2 || counts["AT"] != 1 {
-		t.Errorf("KmerCounts = %v", counts)
-	}
-	if len(s.KmerCounts(0)) != 0 {
-		t.Error("KmerCounts(0) should be empty")
-	}
-	if len(s.KmerCounts(5)) != 0 {
-		t.Error("KmerCounts(k>len) should be empty")
-	}
-}
-
 func TestRepeat(t *testing.T) {
 	if got := Repeat(G, 4); got != "GGGG" {
 		t.Errorf("Repeat(G,4) = %q", got)
@@ -281,15 +244,63 @@ func TestStrandAtPanicsOnInvalid(t *testing.T) {
 	Strand("N").At(0)
 }
 
-func TestComplementStrand(t *testing.T) {
-	if got := Strand("ACGT").Complement(); got != "TGCA" {
-		t.Errorf("Complement = %q, want TGCA", got)
-	}
-}
-
 func TestStrandStringsAreComparable(t *testing.T) {
 	m := map[Strand]int{"ACG": 1}
 	if m[Strand(strings.Clone("ACG"))] != 1 {
 		t.Error("strand map lookup failed")
+	}
+}
+
+// TestAppendBasesKernels: the bulk kernels must agree with the per-base
+// accessors for every length (ragged tails included) and honour
+// append-to-existing semantics.
+func TestAppendBasesKernels(t *testing.T) {
+	f := func(raw []uint8, prefix uint8) bool {
+		bs := make([]Base, len(raw))
+		for i, r := range raw {
+			bs[i] = Base(r % NumBases)
+		}
+		s := Strand(AppendLetters(nil, bs))
+		if s.Len() != len(bs) {
+			return false
+		}
+		for i, b := range bs {
+			if s.At(i) != b {
+				return false
+			}
+		}
+
+		// Strand.AppendBases onto a non-empty prefix.
+		pre := make([]Base, int(prefix%5))
+		got := s.AppendBases(pre)
+		if len(got) != len(pre)+len(bs) {
+			return false
+		}
+		for i, b := range bs {
+			if got[len(pre)+i] != b {
+				return false
+			}
+		}
+
+		// AppendLetters onto a non-empty prefix.
+		letters := AppendLetters([]byte("x"), bs)
+		return string(letters) == "x"+string(s)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestAppendBasesReuseNoAlloc: with sufficient capacity the kernels must
+// not allocate — the contract the per-worker transmit arenas rely on.
+func TestAppendBasesReuseNoAlloc(t *testing.T) {
+	s := Strand("ACGTACGTACGTACGTACGTACG")
+	codes := make([]Base, 0, s.Len())
+	letters := make([]byte, 0, s.Len())
+	if n := testing.AllocsPerRun(100, func() {
+		codes = s.AppendBases(codes[:0])
+		letters = AppendLetters(letters[:0], codes)
+	}); n != 0 {
+		t.Errorf("kernels allocated %.1f times per run with pre-sized buffers", n)
 	}
 }

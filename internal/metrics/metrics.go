@@ -6,7 +6,6 @@ package metrics
 
 import (
 	"fmt"
-	"math"
 
 	"dnastore/internal/align"
 	"dnastore/internal/dna"
@@ -100,15 +99,6 @@ func (p *PositionProfile) add(positions []int) {
 		p.Counts[pos]++
 	}
 	p.Pairs++
-}
-
-// Total returns the total error count across positions.
-func (p *PositionProfile) Total() int {
-	t := 0
-	for _, c := range p.Counts {
-		t += c
-	}
-	return t
 }
 
 // Rates returns per-position error rates: count divided by pairs profiled.
@@ -280,21 +270,4 @@ func CensusErrors(refs, strands []dna.Strand) ErrorCensus {
 		}
 	}
 	return c
-}
-
-// MeanEditDistance returns the average Levenshtein distance between
-// corresponding strands, skipping erasures; NaN if nothing was compared.
-func MeanEditDistance(refs, strands []dna.Strand) float64 {
-	total, n := 0, 0
-	for i, ref := range refs {
-		if strands[i].Len() == 0 && ref.Len() > 0 {
-			continue
-		}
-		total += align.Distance(string(ref), string(strands[i]))
-		n++
-	}
-	if n == 0 {
-		return math.NaN()
-	}
-	return float64(total) / float64(n)
 }

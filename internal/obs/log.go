@@ -80,22 +80,3 @@ func (discardHandler) WithGroup(string) slog.Handler             { return discar
 // Discard returns a logger that drops everything — the nil-object default
 // for components whose caller configured no logging.
 func Discard() *slog.Logger { return slog.New(discardHandler{}) }
-
-// NewLogger is the non-flag construction path (tests, embedded use).
-func NewLogger(component string, w io.Writer, level slog.Level, json bool) *slog.Logger {
-	o := &LogOptions{Output: w, Format: "text"}
-	if json {
-		o.Format = "json"
-	}
-	switch level {
-	case slog.LevelDebug:
-		o.Level = "debug"
-	case slog.LevelWarn:
-		o.Level = "warn"
-	case slog.LevelError:
-		o.Level = "error"
-	default:
-		o.Level = "info"
-	}
-	return o.Logger(component)
-}

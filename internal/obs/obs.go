@@ -1,13 +1,14 @@
 // Package obs is the dependency-free observability layer: a metrics
-// registry (counters, gauges, fixed-bucket histograms) rendered in the
-// Prometheus text exposition format, a context-carried stage timer for
+// registry (counters, scrape-time gauges, fixed-bucket histograms) rendered
+// in the Prometheus text exposition format, a context-carried stage timer for
 // per-stage wall-time and throughput accounting, and a shared structured
 // logging (log/slog) setup used by every binary.
 //
 // The package deliberately implements the tiny subset of a metrics client
-// the project needs rather than importing one: atomic counters and gauges,
-// histograms with fixed upper bounds, and a deterministic text rendering
-// whose stable ordering makes golden-file testing possible. Series are
+// the project needs rather than importing one: atomic counters, gauges
+// computed at scrape time, histograms with fixed upper bounds, and a
+// deterministic text rendering whose stable ordering makes golden-file
+// testing possible. Series are
 // identified by their full Prometheus series name, label block included:
 //
 //	reg.Counter(`dnasimd_jobs_shed_total{reason="queue_full"}`, "Jobs shed at admission.")
@@ -39,28 +40,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is a metric that can go up and down.
-type Gauge struct {
-	bits atomic.Uint64 // float64 bits
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add increments the gauge by d (d may be negative).
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + d)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the current gauge value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram is a fixed-bucket histogram. Buckets are cumulative at render
 // time (Prometheus `le` semantics); observation is a binary search plus an
@@ -109,27 +88,11 @@ func (h *Histogram) BucketCounts() []uint64 {
 // conventional Prometheus client defaults.
 var DefBuckets = []float64{0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
 
-// ExpBuckets returns n exponentially growing bucket bounds starting at
-// start and multiplying by factor (> 1).
-func ExpBuckets(start, factor float64, n int) []float64 {
-	if n < 1 || start <= 0 || factor <= 1 {
-		return DefBuckets
-	}
-	out := make([]float64, n)
-	b := start
-	for i := 0; i < n; i++ {
-		out[i] = b
-		b *= factor
-	}
-	return out
-}
-
 // metricKind tags a registered series for rendering.
 type metricKind int
 
 const (
 	kindCounter metricKind = iota
-	kindGauge
 	kindGaugeFunc
 	kindHistogram
 )
@@ -143,7 +106,6 @@ type series struct {
 	help   string
 
 	counter *Counter
-	gauge   *Gauge
 	fn      func() float64
 	hist    *Histogram
 }
@@ -202,13 +164,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 	}).counter
 }
 
-// Gauge registers (or fetches) a gauge series.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	return r.register(name, help, kindGauge, func(s *series) {
-		s.gauge = &Gauge{}
-	}).gauge
-}
-
 // GaugeFunc registers a gauge whose value is computed at scrape time —
 // the natural fit for "current depth of X" metrics already guarded by
 // their own synchronization. Re-registering a name keeps the first fn.
@@ -243,8 +198,6 @@ func (r *Registry) Snapshot() map[string]float64 {
 		switch s.kind {
 		case kindCounter:
 			out[name] = float64(s.counter.Value())
-		case kindGauge:
-			out[name] = s.gauge.Value()
 		case kindGaugeFunc:
 			out[name] = s.fn()
 		case kindHistogram:
@@ -304,7 +257,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			}
 			typ := "counter"
 			switch s.kind {
-			case kindGauge, kindGaugeFunc:
+			case kindGaugeFunc:
 				typ = "gauge"
 			case kindHistogram:
 				typ = "histogram"
@@ -317,8 +270,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		switch s.kind {
 		case kindCounter:
 			_, err = fmt.Fprintf(w, "%s %d\n", s.name, s.counter.Value())
-		case kindGauge:
-			_, err = fmt.Fprintf(w, "%s %s\n", s.name, formatFloat(s.gauge.Value()))
 		case kindGaugeFunc:
 			_, err = fmt.Fprintf(w, "%s %s\n", s.name, formatFloat(s.fn()))
 		case kindHistogram:
@@ -346,10 +297,3 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	}
 	return nil
 }
-
-// defaultRegistry backs the package-level helpers for binaries that want
-// one process-wide registry without threading it around.
-var defaultRegistry = NewRegistry()
-
-// Default returns the process-wide registry.
-func Default() *Registry { return defaultRegistry }

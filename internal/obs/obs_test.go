@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"flag"
 	"io"
-	"log/slog"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -56,13 +55,12 @@ func TestHistogramUnsortedBucketsAreSorted(t *testing.T) {
 	}
 }
 
-// TestConcurrentCounters hammers counters, gauges and a histogram from
-// many goroutines; run under -race this is the data-race gate, and the
-// final values pin that no increment is lost.
+// TestConcurrentCounters hammers a counter and a histogram from many
+// goroutines; run under -race this is the data-race gate, and the final
+// values pin that no increment is lost.
 func TestConcurrentCounters(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("hits_total", "test")
-	g := r.Gauge("depth", "test")
 	h := r.Histogram("obs_seconds", "test", []float64{0.5})
 	const workers, per = 8, 2000
 	var wg sync.WaitGroup
@@ -72,8 +70,6 @@ func TestConcurrentCounters(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				c.Inc()
-				g.Add(1)
-				g.Add(-1)
 				h.Observe(0.25)
 			}
 		}()
@@ -81,9 +77,6 @@ func TestConcurrentCounters(t *testing.T) {
 	wg.Wait()
 	if c.Value() != workers*per {
 		t.Errorf("counter = %d, want %d", c.Value(), workers*per)
-	}
-	if g.Value() != 0 {
-		t.Errorf("gauge = %v, want 0", g.Value())
 	}
 	if h.Count() != workers*per {
 		t.Errorf("histogram count = %d, want %d", h.Count(), workers*per)
@@ -116,7 +109,7 @@ func TestPrometheusRenderGolden(t *testing.T) {
 	// Register deliberately out of name order: rendering must sort.
 	r.Counter(`jobs_shed_total{reason="queue_full"}`, "Jobs shed at admission.").Add(3)
 	r.Counter(`jobs_shed_total{reason="draining"}`, "Jobs shed at admission.").Add(1)
-	r.Gauge("queue_depth", "Current queue depth.").Set(4)
+	r.GaugeFunc("queue_depth", "Current queue depth.", func() float64 { return 4 })
 	r.GaugeFunc("breaker_open", "1 while the breaker is open.", func() float64 { return 0 })
 	h := r.Histogram("job_seconds", "Job latency.", []float64{0.1, 1, 10})
 	for _, v := range []float64{0.05, 0.5, 0.5, 3, 30} {
@@ -158,12 +151,11 @@ func TestPrometheusRenderGolden(t *testing.T) {
 func TestSnapshot(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c_total", "t").Add(2)
-	r.Gauge("g", "t").Set(1.5)
 	r.GaugeFunc("f", "t", func() float64 { return 7 })
 	r.Histogram("h_seconds", "t", []float64{1}).Observe(0.5)
 	snap := r.Snapshot()
 	for name, want := range map[string]float64{
-		"c_total": 2, "g": 1.5, "f": 7, "h_seconds_count": 1, "h_seconds_sum": 0.5,
+		"c_total": 2, "f": 7, "h_seconds_count": 1, "h_seconds_sum": 0.5,
 	} {
 		if snap[name] != want {
 			t.Errorf("snapshot[%q] = %v, want %v", name, snap[name], want)
@@ -261,7 +253,7 @@ func TestStageTimerConcurrent(t *testing.T) {
 // selection and the component attribute.
 func TestLoggerSetup(t *testing.T) {
 	var buf bytes.Buffer
-	log := NewLogger("dnatest", &buf, slog.LevelWarn, true)
+	log := (&LogOptions{Level: "warn", Format: "json", Output: &buf}).Logger("dnatest")
 	log.Info("dropped")
 	log.Warn("kept", "job", "j000001")
 	var rec map[string]any

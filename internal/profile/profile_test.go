@@ -48,24 +48,59 @@ func TestProfileCleanChannel(t *testing.T) {
 }
 
 func TestProfileRecoversAggregateRates(t *testing.T) {
-	truth := channel.Rates{Sub: 0.03, Ins: 0.01, Del: 0.02}
-	ds := simulate(channel.NewNaive("n", truth), 300, 110, 10, 2)
-	p, err := Profile(ds, Options{})
-	if err != nil {
-		t.Fatal(err)
+	// A low-rate, substitution-dominant channel in the Illumina shape:
+	// 0.5% aggregate split 80/8/12, transition-biased substitutions and a
+	// mild read-start ramp under a heavier terminal spike.
+	illumina := channel.NewNaive("illumina", channel.Rates{Sub: 0.004, Ins: 0.0004, Del: 0.0006})
+	illumina.SubMatrix = channel.TransitionBiasedSubMatrix(0.6)
+	cases := []struct {
+		name     string
+		ch       channel.Channel
+		truth    channel.Rates
+		n, cov   int
+		tol      float64 // per-kind rate tolerance
+		aggTol   float64
+		subHeavy bool // the fitted sub share must dominate
+	}{
+		{
+			name:  "naive",
+			ch:    channel.NewNaive("n", channel.Rates{Sub: 0.03, Ins: 0.01, Del: 0.02}),
+			truth: channel.Rates{Sub: 0.03, Ins: 0.01, Del: 0.02},
+			n:     300, cov: 10, tol: 0.004, aggTol: 0.008,
+		},
+		{
+			name: "illumina",
+			ch: illumina.WithSpatial(dist.TerminalSkew{
+				StartPositions: 3, EndPositions: 8, StartBoost: 2, EndBoost: 3,
+			}),
+			truth: illumina.PerBase[0],
+			n:     200, cov: 30, tol: 0.001, aggTol: 0.0015, subHeavy: true,
+		},
 	}
-	got := p.Rates()
-	if math.Abs(got.Sub-truth.Sub) > 0.004 {
-		t.Errorf("sub = %v, want %v", got.Sub, truth.Sub)
-	}
-	if math.Abs(got.Ins-truth.Ins) > 0.004 {
-		t.Errorf("ins = %v, want %v", got.Ins, truth.Ins)
-	}
-	if math.Abs(got.Del-truth.Del) > 0.004 {
-		t.Errorf("del = %v, want %v", got.Del, truth.Del)
-	}
-	if math.Abs(p.AggregateRate()-0.06) > 0.008 {
-		t.Errorf("aggregate = %v", p.AggregateRate())
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ds := simulate(tc.ch, tc.n, 110, tc.cov, 2)
+			p, err := Profile(ds, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := p.Rates()
+			if math.Abs(got.Sub-tc.truth.Sub) > tc.tol {
+				t.Errorf("sub = %v, want %v", got.Sub, tc.truth.Sub)
+			}
+			if math.Abs(got.Ins-tc.truth.Ins) > tc.tol {
+				t.Errorf("ins = %v, want %v", got.Ins, tc.truth.Ins)
+			}
+			if math.Abs(got.Del-tc.truth.Del) > tc.tol {
+				t.Errorf("del = %v, want %v", got.Del, tc.truth.Del)
+			}
+			if math.Abs(p.AggregateRate()-tc.truth.Total()) > tc.aggTol {
+				t.Errorf("aggregate = %v, want %v", p.AggregateRate(), tc.truth.Total())
+			}
+			if tc.subHeavy && got.Sub < got.Ins+got.Del {
+				t.Errorf("fitted profile not substitution-dominant: %+v", got)
+			}
+		})
 	}
 }
 

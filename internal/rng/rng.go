@@ -1,5 +1,5 @@
-// Package rng provides a deterministic, splittable random number generator
-// and the distribution samplers used throughout the simulator.
+// Package rng provides a deterministic random number generator and the
+// distribution samplers used throughout the simulator.
 //
 // Everything stochastic in this repository draws from an *RNG seeded
 // explicitly by the caller, so that every experiment, test and benchmark is
@@ -11,7 +11,7 @@ package rng
 import "math"
 
 // RNG is a deterministic pseudo-random generator. It is not safe for
-// concurrent use; use Split to derive independent generators per goroutine.
+// concurrent use; give each goroutine its own generator.
 type RNG struct {
 	s [4]uint64
 	// cached spare normal deviate for Box–Muller
@@ -57,12 +57,6 @@ func (r *RNG) Uint64() uint64 {
 	r.s[2] ^= t
 	r.s[3] = rotl(r.s[3], 45)
 	return result
-}
-
-// Split derives a new generator whose stream is independent of the parent's
-// future output. The parent advances by one step.
-func (r *RNG) Split() *RNG {
-	return New(r.Uint64())
 }
 
 // Float64 returns a uniform float64 in [0, 1).
@@ -200,23 +194,6 @@ func (r *RNG) Poisson(lambda float64) int {
 	}
 }
 
-// Geometric returns the number of failures before the first success in
-// Bernoulli(p) trials (support {0, 1, 2, ...}). It panics unless 0 < p <= 1.
-func (r *RNG) Geometric(p float64) int {
-	if p <= 0 || p > 1 {
-		panic("rng: Geometric requires 0 < p <= 1")
-	}
-	if p == 1 {
-		return 0
-	}
-	u := r.Float64()
-	// Avoid log(0).
-	for u == 0 {
-		u = r.Float64()
-	}
-	return int(math.Floor(math.Log(u) / math.Log(1-p)))
-}
-
 // NegBinomial returns a negative-binomial deviate: the number of failures
 // before the rth success with success probability p. For non-integral r it
 // uses the Gamma–Poisson mixture. Heckel et al. observed sequencing coverage
@@ -280,20 +257,6 @@ func (r *RNG) Gamma(shape, scale float64) float64 {
 			return d * v * scale
 		}
 	}
-}
-
-// Triangular returns a deviate from the triangular distribution on [a, b]
-// with mode c. It panics unless a <= c <= b and a < b.
-func (r *RNG) Triangular(a, c, b float64) float64 {
-	if !(a <= c && c <= b) || a >= b {
-		panic("rng: Triangular requires a <= c <= b and a < b")
-	}
-	u := r.Float64()
-	fc := (c - a) / (b - a)
-	if u < fc {
-		return a + math.Sqrt(u*(b-a)*(c-a))
-	}
-	return b - math.Sqrt((1-u)*(b-a)*(b-c))
 }
 
 // Binomial returns the number of successes in n Bernoulli(p) trials.

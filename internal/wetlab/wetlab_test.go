@@ -6,7 +6,6 @@ import (
 
 	"dnastore/internal/align"
 	"dnastore/internal/channel"
-	"dnastore/internal/profile"
 	"dnastore/internal/rng"
 )
 
@@ -167,149 +166,17 @@ func TestTechnologiesTable11(t *testing.T) {
 			t.Errorf("generation order broken at %d", i)
 		}
 	}
-	nano, err := TechnologyByName("Nanopore")
-	if err != nil {
-		t.Fatal(err)
+	ill, nano := techs[1], techs[2]
+	if ill.Name != "Illumina" || nano.Name != "Nanopore" {
+		t.Fatalf("registry order = %q, %q", ill.Name, nano.Name)
 	}
 	if !nano.BurstErrors {
 		t.Error("Nanopore should have burst errors")
 	}
-	if nano.TypicalErrorRate() != 0.10 {
-		t.Errorf("Nanopore error rate = %v", nano.TypicalErrorRate())
+	if nano.ErrorRate != [2]float64{0.10, 0.10} {
+		t.Errorf("Nanopore error rate = %v", nano.ErrorRate)
 	}
-	ill, _ := TechnologyByName("Illumina")
-	if ill.TypicalErrorRate() >= nano.TypicalErrorRate() {
+	if ill.ErrorRate[1] >= nano.ErrorRate[0] {
 		t.Error("Illumina should be cleaner than Nanopore")
-	}
-	if _, err := TechnologyByName("PacBio"); err == nil {
-		t.Error("unknown technology accepted")
-	}
-}
-
-func TestSequencingModels(t *testing.T) {
-	r := rng.New(8)
-	ref := channel.RandomReferences(1, 110, 9)[0]
-	for _, tech := range Technologies() {
-		m := tech.SequencingModel()
-		read := channel.Transmit(m, ref, r)
-		if err := read.Validate(); err != nil {
-			t.Errorf("%s: %v", tech.Name, err)
-		}
-		if m.Name() == "" {
-			t.Errorf("%s: empty model name", tech.Name)
-		}
-	}
-	// Nanopore model should be far noisier than Sanger.
-	sanger, _ := TechnologyByName("Sanger")
-	nano, _ := TechnologyByName("Nanopore")
-	sd, nd := 0, 0
-	refs := channel.RandomReferences(100, 110, 10)
-	sm, nm := sanger.SequencingModel(), nano.SequencingModel()
-	for _, ref := range refs {
-		sd += align.Distance(string(ref), string(channel.Transmit(sm, ref, r)))
-		nd += align.Distance(string(ref), string(channel.Transmit(nm, ref, r)))
-	}
-	if nd < 50*sd {
-		t.Errorf("Nanopore (%d) should be >>50x noisier than Sanger (%d)", nd, sd)
-	}
-}
-
-func TestTechnologyPhysicalPipeline(t *testing.T) {
-	ref := channel.RandomReferences(1, 110, 12)[0]
-	for _, tech := range Technologies() {
-		pipe := tech.PhysicalPipeline(100)
-		if len(pipe.Stages) != 4 {
-			t.Fatalf("%s: %d stages, want 4", tech.Name, len(pipe.Stages))
-		}
-		if _, ok := pipe.Stages[1].(*channel.PCRAmplification); !ok {
-			t.Errorf("%s: stage 1 is %T, want *channel.PCRAmplification", tech.Name, pipe.Stages[1])
-		}
-		if _, ok := pipe.Stages[2].(*channel.AgingStage); !ok {
-			t.Errorf("%s: stage 2 is %T, want *channel.AgingStage", tech.Name, pipe.Stages[2])
-		}
-		if err := channel.Transmit(pipe, ref, rng.New(13)).Validate(); err != nil {
-			t.Errorf("%s: %v", tech.Name, err)
-		}
-		// Pool stages must bind over coverage.
-		base := channel.FixedCoverage(8)
-		if cov := pipe.BindCoverage(base); cov.Name() == base.Name() {
-			t.Errorf("%s: pool stages not bound: %q", tech.Name, cov.Name())
-		}
-		// The quoted Table 1.1 rate is the sequencing share; the wet-lab
-		// stages ride on top, so the aggregate exceeds it by the 70/20/5/5
-		// split.
-		agg, complete := pipe.AggregateRate()
-		if !complete {
-			t.Errorf("%s: aggregate incomplete", tech.Name)
-		}
-		want := tech.TypicalErrorRate() / 0.70
-		if math.Abs(agg-want)/want > 0.05 {
-			t.Errorf("%s: aggregate %v, want about %v", tech.Name, agg, want)
-		}
-	}
-}
-
-func TestIlluminaGroundTruth(t *testing.T) {
-	cfg := IlluminaConfig()
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	cfg.NumClusters = 200
-	ds, err := GenerateIllumina(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ds.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	stats := ds.ComputeStats()
-	if math.Abs(stats.MeanCoverage-30) > 3 {
-		t.Errorf("mean coverage = %v", stats.MeanCoverage)
-	}
-	// Empirical error rate ≈ 0.5%, an order of magnitude below Nanopore.
-	r := rng.New(9)
-	m := GroundTruthIlluminaChannel(0.005)
-	refs := channel.RandomReferences(300, 110, 10)
-	totalDist, totalBases := 0, 0
-	subs, indels := 0, 0
-	for _, ref := range refs {
-		read := channel.Transmit(m, ref, r)
-		d := align.Distance(string(ref), string(read))
-		totalDist += d
-		totalBases += ref.Len()
-		if read.Len() == ref.Len() && d > 0 {
-			subs += d
-		} else if d > 0 {
-			indels += d
-		}
-	}
-	rate := float64(totalDist) / float64(totalBases)
-	if rate < 0.003 || rate > 0.008 {
-		t.Errorf("Illumina empirical error rate = %v, want ≈0.005", rate)
-	}
-	if subs <= indels {
-		t.Errorf("Illumina should be substitution-dominant: subs %d vs indels %d", subs, indels)
-	}
-}
-
-func TestIlluminaCalibrationTransfers(t *testing.T) {
-	// The same profiling machinery must fit the Illumina shape: the fitted
-	// sub share should dominate as generated.
-	cfg := IlluminaConfig()
-	cfg.NumClusters = 200
-	ds, err := GenerateIllumina(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := profile.Profile(ds, profile.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := p.Rates()
-	if r.Sub < r.Del+r.Ins {
-		t.Errorf("fitted Illumina profile not substitution-dominant: %+v", r)
-	}
-	if math.Abs(p.AggregateRate()-0.005) > 0.0015 {
-		t.Errorf("fitted aggregate = %v, want ≈0.005", p.AggregateRate())
 	}
 }
