@@ -538,3 +538,30 @@ func TestRunSurvivesCoordinatorRestart(t *testing.T) {
 		t.Errorf("only %d waits honored the 1s Retry-After floor, want one per shed response", hinted)
 	}
 }
+
+// TestSubmitTooLargeIsPermanent: a spec over the server's cost bound is
+// answered 413, and the client gives up on the first answer instead of
+// backing off and resubmitting it.
+func TestSubmitTooLargeIsPermanent(t *testing.T) {
+	srv := server.New(server.Config{Workers: 1})
+	defer srv.Drain()
+	var posts atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			posts.Add(1)
+		}
+		srv.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	c, log := newTestClient(ts, nil)
+
+	spec := testSpec(1)
+	spec.Simulate.Coverage = 1e9
+	_, _, err := c.Submit(context.Background(), spec)
+	if err == nil || !strings.Contains(err.Error(), "413") {
+		t.Fatalf("oversized submit = %v, want a 413 rejection", err)
+	}
+	if n := posts.Load(); n != 1 || len(log.all()) != 0 {
+		t.Errorf("%d submits and %d backoffs, want one submit and no retry", n, len(log.all()))
+	}
+}

@@ -198,6 +198,18 @@ func TestHTTPContract(t *testing.T) {
 						t.Errorf("expired deadline = %d, want 504", ex.code)
 					}
 				}},
+				{"oversized spec is 413 and shed as too_large", func(t *testing.T) {
+					b, _ := json.Marshal(server.JobSpec{Kind: server.KindSimulate, Simulate: &server.SimulateSpec{
+						NumRefs: 1 << 20, RefLen: 1 << 16, Seed: 1, Coverage: 6,
+					}})
+					if ex := do(t, "POST", jobs, "", b); ex.code != http.StatusRequestEntityTooLarge {
+						t.Errorf("oversized spec = %d, want 413", ex.code)
+					}
+					ex := do(t, "GET", tg.url+"/metrics", "", nil)
+					if !bytes.Contains(ex.body, []byte(`dnasimd_jobs_shed_total{reason="too_large"} 1`+"\n")) {
+						t.Errorf("/metrics has no too_large shed count of 1")
+					}
+				}},
 				{"draining is 503 with an integer Retry-After", func(t *testing.T) {
 					tg.drain()
 					ex := do(t, "POST", jobs, "contract-fresh", contractSpec(4))

@@ -78,6 +78,7 @@ const (
 	shedQueueFull = "queue_full"
 	shedDraining  = "draining"
 	shedDeadline  = "deadline_expired"
+	shedTooLarge  = "too_large"
 )
 
 // ShedError refuses a submission the client should retry later: 503 with
@@ -149,6 +150,7 @@ func NewFrontend(exec Executor, cfg FrontendConfig) *Frontend {
 		"Submissions answered with an already-admitted job via Idempotency-Key.")
 	f.shedCounter(shedDraining)
 	f.shedCounter(shedDeadline)
+	f.shedCounter(shedTooLarge)
 	finHelp := "Jobs reaching a terminal state, by outcome."
 	f.finished = make(map[JobState]*obs.Counter)
 	for _, st := range []JobState{StateDone, StateFailed, StateCanceled, StateCheckpointed} {
@@ -197,7 +199,8 @@ func (f *Frontend) Phase() Phase {
 }
 
 // Submit validates and admits a job, returning it or an admission error:
-// a *ShedError (503), ErrDeadlineExpired (504), or a validation error.
+// a *ShedError (503), ErrDeadlineExpired (504), ErrTooLarge (413), or
+// another validation error (400).
 func (f *Frontend) Submit(spec JobSpec) (*Job, error) {
 	j, _, err := f.SubmitIdempotent("", spec)
 	return j, err
@@ -211,6 +214,9 @@ func (f *Frontend) Submit(spec JobSpec) (*Job, error) {
 // so two concurrent submits with the same key can never both create a job.
 func (f *Frontend) SubmitIdempotent(key string, spec JobSpec) (j *Job, replayed bool, err error) {
 	if err := spec.Validate(); err != nil {
+		if errors.Is(err, ErrTooLarge) {
+			f.shedCounter(shedTooLarge).Inc()
+		}
 		return nil, false, fmt.Errorf("server: invalid job: %w", err)
 	}
 	j, replayed, err = f.admit(key, spec)
@@ -473,6 +479,10 @@ func (f *Frontend) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// 504, not 503: the client's time budget is spent, so "come back
 		// later" would be a lie — there is no Retry-After that helps.
 		writeError(w, http.StatusGatewayTimeout, err.Error())
+	case errors.Is(err, ErrTooLarge):
+		// 413: the spec itself is over a cost bound; retrying it later
+		// cannot help.
+		writeError(w, http.StatusRequestEntityTooLarge, err.Error())
 	case err != nil:
 		writeError(w, http.StatusBadRequest, err.Error())
 	case replayed:

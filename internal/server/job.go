@@ -116,6 +116,24 @@ func (sp *SimulateSpec) ShardRange() (first, count int) {
 	return 0, sp.NumClusters()
 }
 
+// Every accepted spec has bounded cost. A spec over one of these bounds
+// fails validation with ErrTooLarge.
+const (
+	// maxCoverage caps the reads-per-cluster target of simulate and
+	// retrieve specs.
+	maxCoverage = 1000
+	// maxOutputBases caps a simulate spec's estimated output: its
+	// clusters' reference bases times coverage. The result is buffered
+	// whole, so this bounds the job's memory; the load harness's largest
+	// spec (8000 refs of 120 bases at 5x) is about a hundredth of it.
+	maxOutputBases = 1 << 29
+)
+
+// ErrTooLarge marks a spec over a cost bound. The front end answers it
+// with 413, which clients do not retry, and counts it as shed with reason
+// too_large.
+var ErrTooLarge = errors.New("spec too large")
+
 // Validate checks the spec and applies defaults.
 func (sp *SimulateSpec) Validate() error {
 	if len(sp.Refs) == 0 {
@@ -123,7 +141,7 @@ func (sp *SimulateSpec) Validate() error {
 			return errors.New("simulate spec needs refs or num_refs+ref_len")
 		}
 		if sp.NumRefs > 1<<20 || sp.RefLen > 1<<16 {
-			return fmt.Errorf("simulate spec too large: %d refs of %d bases", sp.NumRefs, sp.RefLen)
+			return fmt.Errorf("%w: %d refs of %d bases", ErrTooLarge, sp.NumRefs, sp.RefLen)
 		}
 	}
 	for _, r := range sp.Refs {
@@ -165,6 +183,32 @@ func (sp *SimulateSpec) Validate() error {
 	case sp.ClusterCount > 0 && sp.ClusterFirst+sp.ClusterCount > sp.NumClusters():
 		return fmt.Errorf("cluster range [%d, %d) outside [0, %d)",
 			sp.ClusterFirst, sp.ClusterFirst+sp.ClusterCount, sp.NumClusters())
+	}
+	return checkCost(sp.Coverage, sp.outputBases())
+}
+
+// outputBases estimates the bases the spec's cluster range puts out: its
+// reference bases times the coverage.
+func (sp *SimulateSpec) outputBases() float64 {
+	first, count := sp.ShardRange()
+	bases := count * sp.RefLen
+	if len(sp.Refs) > 0 {
+		bases = 0
+		for _, r := range sp.Refs[first : first+count] {
+			bases += len(r)
+		}
+	}
+	return float64(bases) * sp.Coverage
+}
+
+// checkCost holds a spec's coverage and estimated output bases to
+// maxCoverage and maxOutputBases.
+func checkCost(coverage, bases float64) error {
+	if !(coverage <= maxCoverage) {
+		return fmt.Errorf("%w: coverage %v over %d", ErrTooLarge, coverage, maxCoverage)
+	}
+	if !(bases <= maxOutputBases) {
+		return fmt.Errorf("%w: about %.3g output bases over %d", ErrTooLarge, bases, maxOutputBases)
 	}
 	return nil
 }
@@ -255,6 +299,11 @@ func (sp *RetrieveSpec) Validate() error {
 	}
 	if sp.Coverage <= 0 {
 		sp.Coverage = 14
+	}
+	// The pool's size is known only once its file is read, so only the
+	// coverage is bounded here.
+	if err := checkCost(sp.Coverage, 0); err != nil {
+		return err
 	}
 	if sp.Retries < 0 {
 		return fmt.Errorf("retries %d negative", sp.Retries)
