@@ -15,10 +15,12 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 
 	"dnastore/internal/align"
 	"dnastore/internal/dataset"
 	"dnastore/internal/dna"
+	"dnastore/internal/par"
 )
 
 // Config parameterises the greedy clusterer.
@@ -57,6 +59,15 @@ func (c Config) threshold(readLen int) int {
 // GreedyIndices clusters the pool and returns the member indices of each
 // cluster, in pool order of first member. Reads shorter than the k-mer
 // length form singleton clusters.
+//
+// The result is the same at any GOMAXPROCS. Sketches are computed in
+// parallel up front, and the pool is walked in blocks of greedyBlock
+// reads: at the start of a block each of its reads measures, in parallel,
+// its distance to every cluster its buckets name right then; the block is
+// then committed serially in pool order, computing only the distances
+// that memo lacks. Buckets only grow and a representative never changes,
+// so a memoised distance is the one the commit would compute (DESIGN
+// §18.1).
 func GreedyIndices(pool []dna.Strand, cfg Config) [][]int {
 	type clusterRec struct {
 		rep     dna.Strand
@@ -64,44 +75,66 @@ func GreedyIndices(pool []dna.Strand, cfg Config) [][]int {
 	}
 	var clusters []clusterRec
 	buckets := make(map[uint64][]int) // minimizer hash -> cluster ids
-	sigBuf := make([]uint64, 0, cfg.signatures())
+	sk := sketchAll(pool, cfg.k(), cfg.signatures())
 	// seen[cid] == i+1 marks cluster cid as already compared with read i.
 	var seen []int
+	// memos[j] holds the block's read j's speculated distances; with one
+	// worker nothing is speculated and every commit computes its own.
+	memos := make([]memo, greedyBlock)
+	speculate := par.Workers() > 1
 
-	for i, read := range pool {
-		sigs := minimizers(read, cfg.k(), cfg.signatures(), sigBuf[:0])
-		best := -1
-		bestDist := int(^uint(0) >> 1)
-		for _, s := range sigs {
-			for _, cid := range buckets[s] {
-				if seen[cid] == i+1 {
-					continue
-				}
-				seen[cid] = i + 1
-				rep := clusters[cid].rep
+	for b := 0; b < len(pool); b += greedyBlock {
+		end := min(b+greedyBlock, len(pool))
+		if speculate && len(clusters) > 0 {
+			par.For(end-b, func(j int) {
+				read := pool[b+j]
 				thr := cfg.threshold(read.Len())
-				if d, ok := align.DistanceAtMost(string(rep), string(read), thr); ok && d < bestDist {
-					best, bestDist = cid, d
-				}
-			}
+				memos[j].fill(sk.of(b+j), buckets, func(cid int) int {
+					d, _ := align.DistanceAtMost(string(clusters[cid].rep), string(read), thr)
+					return d
+				})
+			})
 		}
-		if best >= 0 {
-			clusters[best].members = append(clusters[best].members, i)
-			// Register the new member's signatures too: later reads that
-			// share no minimizer with the representative can still find
-			// the cluster through this member.
+		for i := b; i < end; i++ {
+			read := pool[i]
+			sigs := sk.of(i)
+			m := &memos[i-b]
+			thr := cfg.threshold(read.Len())
+			best := -1
+			bestDist := int(^uint(0) >> 1)
 			for _, s := range sigs {
-				if !containsID(buckets[s], best) {
-					buckets[s] = append(buckets[s], best)
+				for _, cid := range buckets[s] {
+					if seen[cid] == i+1 {
+						continue
+					}
+					seen[cid] = i + 1
+					d, ok := m.get(cid)
+					if !ok {
+						d, _ = align.DistanceAtMost(string(clusters[cid].rep), string(read), thr)
+					}
+					if d <= thr && d < bestDist {
+						best, bestDist = cid, d
+					}
 				}
 			}
-			continue
-		}
-		cid := len(clusters)
-		clusters = append(clusters, clusterRec{rep: read, members: []int{i}})
-		seen = append(seen, 0)
-		for _, s := range sigs {
-			buckets[s] = append(buckets[s], cid)
+			if best >= 0 {
+				clusters[best].members = append(clusters[best].members, i)
+				// Register the new member's signatures too: later reads that
+				// share no minimizer with the representative can still find
+				// the cluster through this member.
+				for _, s := range sigs {
+					if !containsID(buckets[s], best) {
+						buckets[s] = append(buckets[s], best)
+					}
+				}
+				continue
+			}
+			cid := len(clusters)
+			clusters = append(clusters, clusterRec{rep: read, members: []int{i}})
+			seen = append(seen, 0)
+			for _, s := range sigs {
+				buckets[s] = append(buckets[s], cid)
+			}
 		}
 	}
 
@@ -111,6 +144,69 @@ func GreedyIndices(pool []dna.Strand, cfg Config) [][]int {
 	}
 	return out
 }
+
+// greedyBlock is how many reads GreedyIndices speculates on at once: big
+// enough to spread over the workers, small enough that few of a block's
+// clusters are made inside it.
+const greedyBlock = 64
+
+// memo holds one strand's distances to a set of candidate ids, the ids in
+// ascending order.
+type memo struct {
+	ids []int
+	ds  []int
+}
+
+// fill sets the memo to the distinct ids that the sketch's buckets name
+// and their distances dist(id).
+func (m *memo) fill(sigs []uint64, buckets map[uint64][]int, dist func(id int) int) {
+	m.ids = m.ids[:0]
+	for _, s := range sigs {
+		m.ids = append(m.ids, buckets[s]...)
+	}
+	slices.Sort(m.ids)
+	m.ids = slices.Compact(m.ids)
+	m.ds = m.ds[:0]
+	for _, id := range m.ids {
+		m.ds = append(m.ds, dist(id))
+	}
+}
+
+// get returns the memoised distance to id, if there is one.
+func (m *memo) get(id int) (int, bool) {
+	if j, ok := slices.BinarySearch(m.ids, id); ok {
+		return m.ds[j], true
+	}
+	return 0, false
+}
+
+// sketches holds a strand set's minimizer sketches, n slots per strand.
+type sketches struct {
+	n    int
+	flat []uint64
+	lens []int
+}
+
+// of returns strand i's sketch.
+func (sk *sketches) of(i int) []uint64 {
+	return sk.flat[i*sk.n : i*sk.n+sk.lens[i]]
+}
+
+// sketchAll computes every strand's minimizer sketch, in parallel.
+func sketchAll(strands []dna.Strand, k, n int) *sketches {
+	sk := &sketches{n: n, flat: make([]uint64, len(strands)*n), lens: make([]int, len(strands))}
+	chunks, bounds := par.Chunks(len(strands), sketchGrain)
+	par.For(chunks, func(c int) {
+		lo, hi := bounds(c)
+		for i := lo; i < hi; i++ {
+			sk.lens[i] = len(minimizers(strands[i], k, n, sk.flat[i*n:i*n:(i+1)*n]))
+		}
+	})
+	return sk
+}
+
+// sketchGrain is the fewest strands one sketching chunk takes.
+const sketchGrain = 256
 
 // Greedy clusters the pool and returns the member reads of each cluster.
 func Greedy(pool []dna.Strand, cfg Config) [][]dna.Strand {
@@ -185,7 +281,9 @@ func fnv1a(s dna.Strand) uint64 {
 // representative (first member); clusters beyond maxDist from every
 // reference are dropped; multiple clusters mapping to one reference are
 // merged. References attracting no cluster become erasures. The result is
-// a Dataset comparable against the perfect clustering.
+// a Dataset comparable against the perfect clustering. The reference
+// buckets are fixed once built, so every cluster's nearest reference is
+// found in parallel; the reads are merged serially, in cluster order.
 func AssignToReferences(clusters [][]dna.Strand, refs []dna.Strand, maxDist int) *dataset.Dataset {
 	ds := &dataset.Dataset{Name: "reclustered", Clusters: make([]dataset.Cluster, len(refs))}
 	for i, ref := range refs {
@@ -193,40 +291,54 @@ func AssignToReferences(clusters [][]dna.Strand, refs []dna.Strand, maxDist int)
 	}
 	// Bucket references by minimizer for fast nearest lookup.
 	cfg := Config{}
+	refSk := sketchAll(refs, cfg.k(), cfg.signatures())
 	refBuckets := make(map[uint64][]int)
-	sigBuf := make([]uint64, 0, cfg.signatures())
-	for i, ref := range refs {
-		for _, s := range minimizers(ref, cfg.k(), cfg.signatures(), sigBuf[:0]) {
+	for i := range refs {
+		for _, s := range refSk.of(i) {
 			refBuckets[s] = append(refBuckets[s], i)
 		}
 	}
-	// seen[ri] == ci+1 marks reference ri as already compared with
-	// cluster ci.
-	seen := make([]int, len(refs))
-	for ci, members := range clusters {
-		if len(members) == 0 {
-			continue
-		}
-		rep := members[0]
-		best, bestDist := -1, maxDist+1
-		for _, s := range minimizers(rep, cfg.k(), cfg.signatures(), sigBuf[:0]) {
-			for _, ri := range refBuckets[s] {
-				if seen[ri] == ci+1 {
-					continue
-				}
-				seen[ri] = ci + 1
-				if d, ok := align.DistanceAtMost(string(refs[ri]), string(rep), maxDist); ok && d < bestDist {
-					best, bestDist = ri, d
+	nearest := make([]int, len(clusters))
+	chunks, bounds := par.Chunks(len(clusters), assignGrain)
+	par.For(chunks, func(c int) {
+		var m memo
+		sigBuf := make([]uint64, 0, cfg.signatures())
+		lo, hi := bounds(c)
+		for ci := lo; ci < hi; ci++ {
+			nearest[ci] = -1
+			if len(clusters[ci]) == 0 {
+				continue
+			}
+			rep := clusters[ci][0]
+			sigs := minimizers(rep, cfg.k(), cfg.signatures(), sigBuf[:0])
+			m.fill(sigs, refBuckets, func(ri int) int {
+				d, _ := align.DistanceAtMost(string(refs[ri]), string(rep), maxDist)
+				return d
+			})
+			// Visit order decides ties: the first reference reached at the
+			// least distance wins. A revisited reference repeats its
+			// distance, which is never less than the best so far.
+			bestDist := maxDist + 1
+			for _, s := range sigs {
+				for _, ri := range refBuckets[s] {
+					if d, _ := m.get(ri); d < bestDist {
+						nearest[ci], bestDist = ri, d
+					}
 				}
 			}
 		}
+	})
+	for ci, best := range nearest {
 		if best < 0 {
 			continue // junk cluster: not close to any reference
 		}
-		ds.Clusters[best].Reads = append(ds.Clusters[best].Reads, members...)
+		ds.Clusters[best].Reads = append(ds.Clusters[best].Reads, clusters[ci]...)
 	}
 	return ds
 }
+
+// assignGrain is the fewest clusters one assignment chunk takes.
+const assignGrain = 64
 
 // Purity computes the weighted purity of a clustering against ground-truth
 // labels: for each cluster, the fraction of members sharing the cluster's

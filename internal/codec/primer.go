@@ -2,9 +2,11 @@ package codec
 
 import (
 	"fmt"
+	"slices"
 
 	"dnastore/internal/align"
 	"dnastore/internal/dna"
+	"dnastore/internal/par"
 	"dnastore/internal/rng"
 )
 
@@ -126,10 +128,28 @@ func Tag(primer dna.Strand, strands []dna.Strand) []dna.Strand {
 
 // SelectAmplify models PCR retrieval over a mixed pool: reads whose prefix
 // is within maxMismatch edit distance of the primer are amplified
-// (returned with the primer region stripped); everything else is left
-// behind. Imperfect selectivity — the §1.1.1 caveat — appears when
-// maxMismatch is generous enough to capture other objects' primers.
+// (returned with the primer region stripped, in pool order); everything
+// else is left behind. Imperfect selectivity — the §1.1.1 caveat — appears
+// when maxMismatch is generous enough to capture other objects' primers.
+// Contiguous chunks of the pool are scanned in parallel and concatenated
+// in pool order, so the result does not depend on GOMAXPROCS.
 func SelectAmplify(pool []dna.Strand, primer dna.Strand, maxMismatch int) []dna.Strand {
+	chunks, bounds := par.Chunks(len(pool), selectGrain)
+	parts := make([][]dna.Strand, chunks)
+	par.For(chunks, func(c int) {
+		lo, hi := bounds(c)
+		parts[c] = selectRange(pool[lo:hi], primer, maxMismatch)
+	})
+	return slices.Concat(parts...)
+}
+
+// selectGrain is the fewest reads SelectAmplify gives one chunk: a primer
+// comparison costs well under a microsecond, so smaller chunks would not
+// pay for their hand-off.
+const selectGrain = 512
+
+// selectRange returns the amplified reads of pool, in order.
+func selectRange(pool []dna.Strand, primer dna.Strand, maxMismatch int) []dna.Strand {
 	var out []dna.Strand
 	plen := primer.Len()
 	for _, s := range pool {

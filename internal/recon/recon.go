@@ -11,13 +11,11 @@ package recon
 
 import (
 	"context"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"dnastore/internal/dataset"
 	"dnastore/internal/dna"
 	"dnastore/internal/obs"
+	"dnastore/internal/par"
 )
 
 // Reconstructor estimates a reference strand from its cluster of noisy
@@ -61,32 +59,17 @@ func ReconstructClusters(rec Reconstructor, clusters [][]dna.Strand, length int)
 }
 
 // reconstructEach reconstructs clusters 0..n-1, as cluster(i) describes
-// them, on GOMAXPROCS workers and returns the estimates in order.
+// them, on par.For's work-stealing workers and returns the estimates in
+// order. Cluster sizes are heavy-tailed under realistic coverage, so a
+// shared next index balances the load where contiguous shares left one
+// worker grinding the big clusters; reconstructors are deterministic, so
+// the assignment order cannot affect results.
 func reconstructEach(rec Reconstructor, n int, cluster func(i int) ([]dna.Strand, int)) []dna.Strand {
 	out := make([]dna.Strand, n)
-	workers := min(runtime.GOMAXPROCS(0), n)
-	var wg sync.WaitGroup
-	// Work-stealing dispatch (mirroring channel.simulateWith): cluster
-	// sizes are heavy-tailed under realistic coverage, so contiguous
-	// chunking left one worker grinding the big clusters while the others
-	// sat idle; a shared atomic index balances the load. Reconstructors
-	// are deterministic, so assignment order cannot affect results.
-	var next atomic.Int64
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				reads, length := cluster(i)
-				out[i] = rec.Reconstruct(reads, length)
-			}
-		}()
-	}
-	wg.Wait()
+	par.For(n, func(i int) {
+		reads, length := cluster(i)
+		out[i] = rec.Reconstruct(reads, length)
+	})
 	return out
 }
 
