@@ -15,13 +15,15 @@ verify: build test verify-race perfbench-check chaos-smoke fuzz-smoke
 # Race-detector pass over the concurrent packages: the simulator worker
 # pool and checkpointing (internal/channel), the adaptive retrieve path
 # (internal/store), the journal (internal/durable), the metrics registry /
-# stage timer (internal/obs), the work-stealing reconstruction pool
-# (internal/recon), the profiling workers (internal/profile), and the
-# alignment kernel's pooled arenas (internal/align) with the clustering
-# that leans on them (internal/cluster).
+# stage timer (internal/obs), the shared work-stealing loop (internal/par)
+# and the read-path stages that run on it — parallel PCR selection
+# (internal/codec), block-speculative Greedy and parallel reference
+# assignment (internal/cluster), reconstruction (internal/recon) — the
+# profiling workers (internal/profile), and the alignment kernel's pooled
+# arenas (internal/align) that clustering and selection lean on.
 verify-race:
 	$(GO) vet ./...
-	$(GO) test -race ./internal/channel/... ./internal/store/... ./internal/durable/... ./internal/obs/... ./internal/recon/... ./internal/profile/... ./internal/align/... ./internal/cluster/...
+	$(GO) test -race ./internal/channel/... ./internal/store/... ./internal/durable/... ./internal/obs/... ./internal/par/... ./internal/codec/... ./internal/recon/... ./internal/profile/... ./internal/align/... ./internal/cluster/...
 
 # The end-to-end benchmark is a module of its own (perfbench/), so the root
 # build and tests never compile it; its serve checks drive server.New and
@@ -41,8 +43,9 @@ chaos-smoke:
 # Short fuzz pass over every parser that consumes on-disk bytes — the
 # durable container reader, the pool loader, the FASTA/FASTQ parsers, the
 # fault-injection spec DSL, and the channel stage-pipeline DSL — over the
-# alignment kernel against its full-matrix and row-DP references, and over
-# the clustering's minimizer sketch against its sort-based reference.
+# alignment kernel against its full-matrix and row-DP references, over
+# the clustering's minimizer sketch against its sort-based reference, and
+# over the block-speculative Greedy against its serial reference.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadContainer -fuzztime=10s ./internal/durable/
 	$(GO) test -run='^$$' -fuzz=FuzzLoadPool -fuzztime=10s ./internal/store/
@@ -52,6 +55,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseStages -fuzztime=10s ./internal/channel/
 	$(GO) test -run='^$$' -fuzz=FuzzScript -fuzztime=10s ./internal/align/
 	$(GO) test -run='^$$' -fuzz=FuzzMinimizers -fuzztime=10s ./internal/cluster/
+	$(GO) test -run='^$$' -fuzz=FuzzGreedy -fuzztime=10s ./internal/cluster/
 
 # Benchmarks: one pass over the Go benchmarks (smoke, 1 iteration each)
 # plus the machine-readable simulate, transmit, alignment, clustering,

@@ -191,6 +191,34 @@ func benchWorkloads() []benchWorkload {
 				}
 			},
 		},
+		// The clustering stages of a store get and of the evaluate loop:
+		// Greedy over a key's read-out, where a shared primer and index
+		// prefix puts every read in the buckets of nearly every cluster,
+		// and the assignment of the evaluate pool's Greedy clusters to
+		// their 300 references.
+		{
+			name: "cluster.greedy/store672reads", clusters: storeBenchStrands, refLen: storeBenchRefLen, coverage: 14,
+			run: func(b *testing.B, _ uint64) {
+				pool := greedyStoreBenchPool()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					benchSink += len(cluster.GreedyIndices(pool, cluster.Config{}))
+				}
+			},
+		},
+		{
+			name: "cluster.assign/300refs", clusters: 300, refLen: 110, coverage: 6,
+			run: func(b *testing.B, seed uint64) {
+				groups := cluster.Greedy(greedyBenchPool(seed), cluster.Config{})
+				refs := evalBenchRefs(seed)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					benchSink += cluster.AssignToReferences(groups, refs, 40).NumReads()
+				}
+			},
+		},
 		{
 			name: "profile.reads/300clusters", clusters: 300, refLen: 110,
 			run: func(b *testing.B, seed uint64) {
@@ -223,13 +251,50 @@ func benchWorkloads() []benchWorkload {
 	}
 }
 
-// greedyBenchPool returns the evaluate loop's clustering input: 300
-// seeded 110-nt references read at exactly 6x through the wetlab
+// greedyBenchPool returns the evaluate loop's clustering input: the 300
+// seeded 110-nt evalBenchRefs read at exactly 6x through the wetlab
 // ground-truth channel, shuffled into one 1800-read pool.
 func greedyBenchPool(seed uint64) []dna.Strand {
-	refs := channel.RandomReferences(300, 110, seed)
 	sim := channel.Simulator{Channel: wetlab.GroundTruthChannel(0.059), Coverage: channel.FixedCoverage(6)}
-	return sim.Simulate("bench-greedy", refs, seed).AllReads(rng.New(seed + 1))
+	return sim.Simulate("bench-greedy", evalBenchRefs(seed), seed).AllReads(rng.New(seed + 1))
+}
+
+// evalBenchRefs are the references behind greedyBenchPool.
+func evalBenchRefs(seed uint64) []dna.Strand {
+	return channel.RandomReferences(300, 110, seed)
+}
+
+// The store-shaped clustering input: storeBenchStrands strands of
+// storeBenchRefLen bases, each a shared 20-nt primer, an 8-nt index and a
+// seeded payload.
+const (
+	storeBenchStrands = 48
+	storeBenchRefLen  = 132
+)
+
+// greedyStoreBenchPool returns a key-value get's clustering input: the
+// store-shaped strands read at exactly 14x through a naive channel at 4%
+// Nanopore-mix error and shuffled into one 672-read pool. It is the
+// cluster package's store golden pool, seeds included, and ignores
+// -seed: under these seeds the primer's k-mers are among nearly every
+// read's minimizers, so every read is a candidate for nearly every
+// cluster, where other seeds give a sparse pool an order faster.
+func greedyStoreBenchPool() []dna.Strand {
+	primer := string(channel.RandomReferences(1, 20, 31)[0])
+	payloads := channel.RandomReferences(storeBenchStrands, storeBenchRefLen-28, 32)
+	refs := make([]dna.Strand, len(payloads))
+	for i, p := range payloads {
+		idx := make([]byte, 8)
+		for k := range idx {
+			idx[k] = "ACGT"[i>>(2*k)&3]
+		}
+		refs[i] = dna.Strand(primer + string(idx) + string(p))
+	}
+	sim := channel.Simulator{
+		Channel:  channel.NewNaive("store", channel.NanoporeMix(0.04)),
+		Coverage: channel.FixedCoverage(14),
+	}
+	return sim.Simulate("store", refs, 33).AllReads(rng.New(34))
 }
 
 // profileBenchDataset returns the evaluate loop's profiling input: a

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"testing"
 
 	"dnastore/internal/align"
@@ -96,13 +99,15 @@ func TestAlignWorkloadShapes(t *testing.T) {
 }
 
 // TestLayerWorkloadShapes pins the cluster, profile and recon rows of
-// BENCH_sim.json to the input shapes of the evaluate loop they stand for.
+// BENCH_sim.json to the input shapes of the evaluate loop and the store
+// get they stand for.
 func TestLayerWorkloadShapes(t *testing.T) {
 	names := map[string]bool{}
 	for _, w := range benchWorkloads() {
 		names[w.name] = true
 	}
-	for _, want := range []string{"cluster.greedy/1800reads", "profile.reads/300clusters", "recon.iterative/cov6"} {
+	for _, want := range []string{"cluster.greedy/1800reads", "cluster.greedy/store672reads", "cluster.assign/300refs",
+		"profile.reads/300clusters", "recon.iterative/cov6"} {
 		if !names[want] {
 			t.Errorf("workload %s missing", want)
 		}
@@ -113,6 +118,17 @@ func TestLayerWorkloadShapes(t *testing.T) {
 	}
 	if n := len(cluster.GreedyIndices(pool, cluster.Config{})); n < 300 || n > 450 {
 		t.Errorf("greedy pool forms %d clusters, want 300 plus some fragmentation", n)
+	}
+	// The store row's pool is the cluster package's store golden pool:
+	// same Greedy output hash.
+	store := greedyStoreBenchPool()
+	sum := sha256.Sum256([]byte(fmt.Sprint(cluster.GreedyIndices(store, cluster.Config{}))))
+	if len(store) != 672 || hex.EncodeToString(sum[:16]) != "07f8cac9d465d7ed2b5f4d8f1d6e2587" {
+		t.Errorf("store greedy pool (%d reads) is not the store golden pool", len(store))
+	}
+	assigned := cluster.AssignToReferences(cluster.Greedy(pool, cluster.Config{}), evalBenchRefs(1), 40)
+	if assigned.NumClusters() != 300 || assigned.NumReads() < 1700 {
+		t.Errorf("assign row: %d clusters, %d reads assigned; want 300 and nearly all 1800", assigned.NumClusters(), assigned.NumReads())
 	}
 	ds := profileBenchDataset(1)
 	if ds.NumClusters() != 300 || ds.NumReads() < 300*20 {
