@@ -108,6 +108,98 @@ func TestKernelMatchesReferenceEdgePairs(t *testing.T) {
 	}
 }
 
+// TestKernelMatchesReferenceSharedPrefix checks the kernel on the traffic
+// of a store get's clustering, where DistanceAtMost mostly rejects: a
+// strand against a noisy read of another strand that shares its 20–28-nt
+// primer and index prefix but not its payload, at lengths across the
+// 64- and 128-row boundaries. checkKernel's sweep over every k takes
+// DistanceAtMost through the banded kernel's cut-off and, past k = 63,
+// through the Distance fallback.
+func TestKernelMatchesReferenceSharedPrefix(t *testing.T) {
+	trials := 3
+	if testing.Short() {
+		trials = 1
+	}
+	r := rng.New(132)
+	for _, n := range []int{100, 110, 127, 128, 129, 132, 191, 192, 193, 256, 300} {
+		for _, plen := range []int{20, 24, 28} {
+			for trial := 0; trial < trials; trial++ {
+				prefix := randStrand(r, plen)
+				ref := prefix + randStrand(r, n-plen)
+				read := mutate(r, prefix+randStrand(r, n-plen), 0.04, 0.3, "ACGT")
+				if !checkKernel(t, ref, read, r.Uint64()) || !checkKernel(t, read, ref, r.Uint64()) {
+					t.Fatalf("n=%d prefix %d", n, plen)
+				}
+			}
+		}
+	}
+}
+
+// TestKernelMatchesReferenceLengthGaps covers pairs whose lengths differ
+// by the bound or one less: a strand against a copy with a run of gap
+// bases cut out, at the start, in the middle or at the end, under light
+// noise. Their distance sits at or just above |Δ|, so the sweep's k = |Δ|
+// and k = |Δ|+1 decide on the band's outermost diagonals.
+func TestKernelMatchesReferenceLengthGaps(t *testing.T) {
+	r := rng.New(63)
+	for _, gap := range []int{1, 2, 31, 32, 33, 62, 63, 64} {
+		for _, n := range []int{64, 110, 132, 200} {
+			for _, p := range []float64{0, 0.02} {
+				ref := randStrand(r, n+gap)
+				for _, at := range []int{0, n / 2, n} {
+					read := mutate(r, ref[:at]+ref[at+gap:], p, 0, "ACGT")
+					if !checkKernel(t, ref, read, r.Uint64()) || !checkKernel(t, read, ref, r.Uint64()) {
+						t.Fatalf("gap %d n=%d p=%g cut at %d", gap, n, p, at)
+					}
+				}
+			}
+		}
+	}
+}
+
+// edgePair returns a pair whose only cheap alignment runs along one edge
+// of DistanceAtMost's band at k = ins+del: "T"×ins + s against s + "G"×del
+// with s over {A, C}, so the T's are inserted, the G's deleted, and the
+// path between them follows diagonal −ins (mirrored, with swap, diagonal
+// del). s is long enough that any alignment substituting the pads costs
+// more.
+func edgePair(r *rng.RNG, ins, del int, swap bool) (string, string) {
+	s := randOver(r, 200, "AC")
+	a, b := strings.Repeat("T", ins)+s, s+strings.Repeat("G", del)
+	if swap {
+		a, b = strings.Repeat("G", del)+s, s+strings.Repeat("T", ins)
+	}
+	return a, b
+}
+
+// TestDistanceAtMostBandEdges pins DistanceAtMost either side of the
+// banded kernel's k <= 63 limit on pairs whose optimal path hugs the
+// band's top or bottom diagonal: distance 62, 63 or 64 split every way
+// between insertions and deletions, at k from d−1 to d+1 and at 63 and
+// 64.
+func TestDistanceAtMostBandEdges(t *testing.T) {
+	r := rng.New(64)
+	for _, d := range []int{62, 63, 64} {
+		for _, ins := range []int{0, 1, d / 2, (d + 1) / 2, d - 1, d} {
+			for _, swap := range []bool{false, true} {
+				a, b := edgePair(r, ins, d-ins, swap)
+				if want := refDistance(a, b); want != d {
+					t.Fatalf("edge pair %d+%d has distance %d, not %d", ins, d-ins, want, d)
+				}
+				for _, k := range []int{d - 1, d, d + 1, 63, 64} {
+					for _, p := range [][2]string{{a, b}, {b, a}} {
+						got, ok := DistanceAtMost(p[0], p[1], k)
+						if d <= k && (!ok || got != d) || d > k && (ok || got != k+1) {
+							t.Errorf("DistanceAtMost(%d+%d edge pair, swap %v, k=%d) = (%d, %v); distance %d",
+								ins, d-ins, swap, k, got, ok, d)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestKernelConcurrent runs Script and DistanceAtMost from 8 goroutines at
 // once, checking every result against the references, so the race
 // detector sees the pooled arenas shared across goroutines.
@@ -150,6 +242,10 @@ func FuzzScript(f *testing.F) {
 	f.Add(ref, randStrand(r, 110), uint64(6))
 	f.Add(randStrand(r, 129), randStrand(r, 127), uint64(7))
 	f.Add("\x00\xff\x00", "\xff\x00", uint64(8))
+	prefix := randStrand(r, 28)
+	f.Add(prefix+randStrand(r, 104), mutate(r, prefix+randStrand(r, 104), 0.04, 0, "ACGT"), uint64(9))
+	a, b := edgePair(r, 31, 32, false)
+	f.Add(a, b, uint64(10))
 	f.Fuzz(func(t *testing.T, a, b string, seed uint64) {
 		const maxLen = 400
 		checkKernel(t, a[:min(len(a), maxLen)], b[:min(len(b), maxLen)], seed)

@@ -5,15 +5,21 @@
 // matching blocks and aligned error positions used for the paper's
 // "gestalt-aligned" error profiles.
 //
-// Distance, DistanceAtMost and Script share one exact kernel (DESIGN §18):
-// a Myers/Hyyrö bit-parallel distance over a pooled per-goroutine arena.
-// Script keeps the pass's per-column bit vectors and traces back through
-// them (Hyyrö 2004, as in Edlib), with no DP matrix. The full-matrix and
-// row-DP forms they replaced live on in reference_test.go as the
-// differential references.
+// Distance and Script share one exact kernel (DESIGN §18): a Myers/Hyyrö
+// bit-parallel distance over a pooled per-goroutine arena, in 64-row
+// strips. Script keeps the pass's per-column bit vectors and traces back
+// through them (Hyyrö 2004, as in Edlib), with no DP matrix.
+// DistanceAtMost runs the same recurrence in a band of 64 diagonals, one
+// word per column, and stops once the diagonal ending at the corner
+// exceeds its bound; bounds of 64 and more fall back to Distance. The
+// full-matrix and row-DP forms they replaced live on in reference_test.go
+// as the differential references.
 package align
 
-import "sync"
+import (
+	"math/bits"
+	"sync"
+)
 
 // arena is the reusable working memory of one kernel call: the
 // bit-parallel match masks and strip-boundary deltas, and the column
@@ -170,9 +176,12 @@ func Distance(a, b string) int {
 }
 
 // DistanceAtMost returns the Levenshtein distance between a and b if it is
-// <= k, and (k+1, false) otherwise. Pairs whose lengths differ by more than
-// k are rejected without alignment; the rest cost one bit-parallel
-// Distance, which makes it the workhorse of the clustering substrate.
+// <= k, and (k+1, false) otherwise. It is the workhorse of the clustering
+// substrate, and most of its calls there are rejects. Pairs whose lengths
+// differ by more than k are rejected without alignment. For k <= 63 the
+// rest run the banded kernel (bandedAtMost): one word per column, which
+// stops as soon as a cell on the diagonal ending at (|a|, |b|) exceeds k.
+// Larger k cost one bit-parallel Distance.
 func DistanceAtMost(a, b string, k int) (int, bool) {
 	if k < 0 {
 		return k + 1, false
@@ -180,11 +189,109 @@ func DistanceAtMost(a, b string, k int) (int, bool) {
 	if len(a)-len(b) > k || len(b)-len(a) > k {
 		return k + 1, false
 	}
-	if d := Distance(a, b); d <= k {
+	if k >= 64 {
+		if d := Distance(a, b); d <= k {
+			return d, true
+		}
+		return k + 1, false
+	}
+	if len(a) < len(b) {
+		a, b = b, a
+	}
+	ar := getArena()
+	d := ar.bandedAtMost(a, b, k)
+	putArena(ar)
+	if d <= k {
 		return d, true
 	}
 	return k + 1, false
 }
+
+// bandedAtMost is DistanceAtMost's kernel for 0 <= k <= 63 and
+// 0 <= Δ = len(a) − len(b) <= k: the Myers/Hyyrö pass confined to a
+// diagonal band one word wide (Ukkonen 1985; Hyyrö 2003). It returns the
+// distance when that is at most k and some value above k otherwise.
+//
+// Write D[i][j] for the DP over rows a and columns b. A path through a
+// cell on diagonal d = i − j costs at least |d| + |Δ − d|, so a path of
+// cost <= k stays on the diagonals from ⌈(Δ−k)/2⌉ to ⌊(Δ+k)/2⌋: at most
+// k+1 of them. The band is the 64 diagonals from lo = ⌈(Δ−k)/2⌉, which
+// hold rows j+lo to j+lo+63 of column j, so the band slides down one row
+// per column. Every cell outside it is treated as an upper bound: a +1
+// horizontal delta enters at the top and a +1 vertical delta is shifted
+// in at the bottom. Each computed cell is then the cost of some real
+// path, and every cell whose optimal path stays in the band is exact.
+// Rows above row 0 are virtual rows with D[i][j] = j − i that never
+// match: their vertical deltas are −1, and the +1 entering at the top
+// keeps row 0 at D[0][j] = j.
+//
+// The cut-off watches diagonal Δ, the one ending at (m, n). D never
+// decreases along a diagonal, so D[m][n] <= k puts every cell of
+// diagonal Δ at <= k, and such a cell's optimal path lies in the band,
+// so it is computed exactly. A computed value above k on diagonal Δ
+// therefore proves D[m][n] > k. The test runs every cutEvery columns and
+// after the last, where the cell is (m, n).
+func (ar *arena) bandedAtMost(a, b string, k int) int {
+	m, n := len(a), len(b)
+	lo := (m - n - k) / 2 // ⌈(Δ−k)/2⌉: Δ−k <= 0 and / truncates toward zero
+	// Match masks of a, one bit per row, are stored from bit 64 on, so
+	// that the window for column j+1 — rows j+lo+1 to j+lo+64, a[j+lo:]
+	// — starts at bit j+lo+64 >= 32. Words below bit 64 and past row m
+	// stay zero: virtual rows and rows past m never match. Mask row 0 is
+	// all zero and serves every byte absent from a; the others are added
+	// as a's bytes first appear.
+	var sym [256]uint16
+	words := m>>6 + 3
+	peq := append(ar.peq[:0], make([]uint64, words)...)
+	for i := 0; i < m; i++ {
+		c := sym[a[i]]
+		if c == 0 {
+			c = uint16(len(peq) / words)
+			sym[a[i]] = c
+			peq = append(peq, make([]uint64, words)...)
+		}
+		peq[int(c)*words+(i+64)>>6] |= 1 << (i & 63)
+	}
+	ar.peq = peq
+
+	// The band's vertical deltas are kept slid down a row: after column
+	// j, bit r is the delta at row j+lo+1+r, bit 63 the +1 bottom delta.
+	// top is D at row j+lo, the row the slide dropped. Column 0 has
+	// D[i][0] = |i|: deltas −1 on rows i <= 0 (bits r < −lo), +1 below.
+	mv := uint64(1)<<-lo - 1
+	pv := ^mv
+	top := -lo
+	// diag selects bits 0..Δ−lo−1, the deltas from row j+lo down to the
+	// cell on diagonal Δ.
+	diag := uint64(1)<<(m-n-lo) - 1
+	off := lo + 64
+	for j := 0; j < n; j++ {
+		s := j + off
+		i := int(sym[b[j]])*words + s>>6
+		eq := peq[i]>>(s&63) | peq[i+1]<<1<<(^s&63)
+		// advance(eq, pv, mv, 1) with its output slid down a row, so
+		// bit 63 takes the +1 bottom delta. The +1 top delta reaches only
+		// the new column's bit 0, which the slide drops into top: top
+		// moves one column right (+1) and one row down (that bit's
+		// delta, 0, or −1 when xv bit 0 is set).
+		xv := eq | mv
+		xh := (((eq & pv) + pv) ^ pv) | eq
+		ph := mv | ^(xh | pv)
+		mh := pv & xh
+		top += 1 - int(xv&1)
+		pv, mv = mh|^(xv>>1|ph)|1<<63, ph&(xv>>1)
+		if j&(cutEvery-1) == cutEvery-1 && top+bits.OnesCount64(pv&diag)-bits.OnesCount64(mv&diag) > k {
+			return k + 1
+		}
+	}
+	return top + bits.OnesCount64(pv&diag) - bits.OnesCount64(mv&diag)
+}
+
+// cutEvery is how many columns the banded kernel runs between cut-off
+// tests, a power of two. A test costs about as much as a column, and a
+// reject runs at most cutEvery−1 columns past the first one that could
+// stop it.
+const cutEvery = 8
 
 // Similar reports whether the edit distance between a and b is at most k.
 func Similar(a, b string, k int) bool {
