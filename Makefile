@@ -64,14 +64,16 @@ bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
 	$(GO) run ./cmd/dnabench -json BENCH_sim.json
 
-# Regression gate: re-measure the simulate hot paths and fail on >15%
-# ns/op regression against the committed BENCH_sim.json baseline, or on
-# allocs/op growth (absolute growth past an 8-alloc grace when the
-# baseline is zero-alloc — a fraction of zero can't gate). The
+# Regression gate: re-measure every BENCH_sim.json row 5 times in
+# interleaved rounds and fail when a row's median run is >15% slower in
+# ns/op than the committed baseline, or on allocs/op growth (absolute
+# growth past an 8-alloc grace when the baseline is zero-alloc — a
+# fraction of zero can't gate). The
 # channel.transmit/* workloads additionally hard-fail the measurement
 # itself if the default transmit path allocates at all: allocs/op on the
-# packed AppendTransmit kernels must be exactly 0. The comparison report
-# lands in BENCH_compare.txt (archived by CI even when the gate fails).
+# packed AppendTransmit kernels must be exactly 0. The comparison report,
+# with each row's min–max ns/op over the rounds, lands in
+# BENCH_compare.txt (archived by CI even when the gate fails).
 # After an intentional perf change, refresh the baseline with `make
 # bench` on the reference machine and commit it.
 bench-check:

@@ -1,10 +1,12 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -168,12 +170,16 @@ func benchWorkloads() []benchWorkload {
 			name: "align.distance_at_most/noisy110", refLen: 110, zeroAlloc: true,
 			run: func(b *testing.B, seed uint64) {
 				ref, read := noisyBenchPair(seed)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					d, _ := align.DistanceAtMost(ref, read, len(ref)/4)
-					benchSink += d
-				}
+				benchDistanceAtMost(b, ref, read)
+			},
+		},
+		// The pair a store get's clustering rejects: a strand against a
+		// read of another strand behind the same primer.
+		{
+			name: "align.distance_at_most/prefix132", refLen: storeBenchRefLen, zeroAlloc: true,
+			run: func(b *testing.B, _ uint64) {
+				ref, read := prefixBenchPair()
+				benchDistanceAtMost(b, ref, read)
 			},
 		},
 		// The three align-bound layers of the calibrate-and-evaluate loop,
@@ -272,14 +278,8 @@ const (
 	storeBenchRefLen  = 132
 )
 
-// greedyStoreBenchPool returns a key-value get's clustering input: the
-// store-shaped strands read at exactly 14x through a naive channel at 4%
-// Nanopore-mix error and shuffled into one 672-read pool. It is the
-// cluster package's store golden pool, seeds included, and ignores
-// -seed: under these seeds the primer's k-mers are among nearly every
-// read's minimizers, so every read is a candidate for nearly every
-// cluster, where other seeds give a sparse pool an order faster.
-func greedyStoreBenchPool() []dna.Strand {
+// storeBenchRefs returns the store-shaped strands behind the store rows.
+func storeBenchRefs() []dna.Strand {
 	primer := string(channel.RandomReferences(1, 20, 31)[0])
 	payloads := channel.RandomReferences(storeBenchStrands, storeBenchRefLen-28, 32)
 	refs := make([]dna.Strand, len(payloads))
@@ -290,11 +290,34 @@ func greedyStoreBenchPool() []dna.Strand {
 		}
 		refs[i] = dna.Strand(primer + string(idx) + string(p))
 	}
-	sim := channel.Simulator{
-		Channel:  channel.NewNaive("store", channel.NanoporeMix(0.04)),
-		Coverage: channel.FixedCoverage(14),
-	}
-	return sim.Simulate("store", refs, 33).AllReads(rng.New(34))
+	return refs
+}
+
+// storeBenchChannel is the store rows' read channel: naive, at 4%
+// Nanopore-mix error.
+func storeBenchChannel() channel.Channel {
+	return channel.NewNaive("store", channel.NanoporeMix(0.04))
+}
+
+// greedyStoreBenchPool returns a key-value get's clustering input: the
+// store-shaped strands read at exactly 14x through storeBenchChannel and
+// shuffled into one 672-read pool. It is the cluster package's store
+// golden pool, seeds included, and ignores -seed: under these seeds the
+// primer's k-mers are among nearly every read's minimizers, so every read
+// is a candidate for nearly every cluster, where other seeds give a
+// sparse pool an order faster.
+func greedyStoreBenchPool() []dna.Strand {
+	sim := channel.Simulator{Channel: storeBenchChannel(), Coverage: channel.FixedCoverage(14)}
+	return sim.Simulate("store", storeBenchRefs(), 33).AllReads(rng.New(34))
+}
+
+// prefixBenchPair returns the first store-shaped strand and a read of the
+// second through storeBenchChannel: the same 20-nt primer, then a
+// different index and payload. Like greedyStoreBenchPool it ignores -seed.
+func prefixBenchPair() (string, string) {
+	refs := storeBenchRefs()
+	read := channel.Transmit(storeBenchChannel(), refs[1], rng.New(35))
+	return string(refs[0]), string(read)
 }
 
 // profileBenchDataset returns the evaluate loop's profiling input: a
@@ -326,6 +349,17 @@ func noisyBenchPair(seed uint64) (string, string) {
 	ref := channel.RandomReferences(1, 110, seed)[0]
 	read := channel.Transmit(channel.NewNaive("bench", channel.NanoporeMix(0.06)), ref, rng.New(seed))
 	return string(ref), string(read)
+}
+
+// benchDistanceAtMost measures align.DistanceAtMost on one pair at the
+// clustering threshold, a quarter of the reference length.
+func benchDistanceAtMost(b *testing.B, ref, read string) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d, _ := align.DistanceAtMost(ref, read, len(ref)/4)
+		benchSink += d
+	}
 }
 
 // benchScript measures align.AppendScript on one pair under the
@@ -399,19 +433,52 @@ func measure(w benchWorkload, seed uint64) (benchResult, error) {
 	}, nil
 }
 
-// measureAll runs every workload.
+// measureAll runs every workload once.
 func measureAll(seed uint64) ([]benchResult, error) {
-	var out []benchResult
-	for _, w := range benchWorkloads() {
-		r, err := measure(w, seed)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(os.Stderr, "dnabench: %s: %d iterations, %.0f clusters/s, %d allocs/op\n",
-			r.Name, r.Iterations, r.ClustersPerSec, r.AllocsPerOp)
-		out = append(out, r)
+	runs, err := measureRounds(seed, 1)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]benchResult, len(runs))
+	for i, r := range runs {
+		out[i] = r[0]
 	}
 	return out, nil
+}
+
+// measureRounds measures every workload rounds times, one round over all
+// workloads after another, so that a stretch of machine drift spreads
+// over every row instead of landing on the runs of one. runs[w][r] is
+// workload w in round r.
+func measureRounds(seed uint64, rounds int) ([][]benchResult, error) {
+	workloads := benchWorkloads()
+	runs := make([][]benchResult, len(workloads))
+	for round := 0; round < rounds; round++ {
+		for i, w := range workloads {
+			r, err := measure(w, seed)
+			if err != nil {
+				return nil, err
+			}
+			fmt.Fprintf(os.Stderr, "dnabench: %s (round %d/%d): %d iterations, %.0f clusters/s, %d allocs/op\n",
+				r.Name, round+1, rounds, r.Iterations, r.ClustersPerSec, r.AllocsPerOp)
+			runs[i] = append(runs[i], r)
+		}
+	}
+	return runs, nil
+}
+
+// compareRounds is how many interleaved rounds -compare measures each
+// workload in. One run of a row can land on a stretch where the machine
+// is busy; the median of five moves only when three of them do.
+const compareRounds = 5
+
+// medianRun returns the run with the median ns/op (the lower middle one
+// for an even count), and the fastest and slowest ns/op, the spread the
+// report prints. The gate compares the median run, allocs/op included.
+func medianRun(runs []benchResult) (med benchResult, minNs, maxNs int64) {
+	sorted := slices.Clone(runs)
+	slices.SortStableFunc(sorted, func(a, b benchResult) int { return cmp.Compare(a.NsPerOp, b.NsPerOp) })
+	return sorted[(len(sorted)-1)/2], sorted[0].NsPerOp, sorted[len(sorted)-1].NsPerOp
 }
 
 // runJSONBench measures the hot paths and writes BENCH_sim.json to path.
@@ -464,10 +531,12 @@ func allocRegressed(baseline, current int64, tolerance float64) bool {
 	return float64(current-baseline)/float64(baseline) > tolerance && current-baseline > allocGrace
 }
 
-// compareBench measures every workload, diffs ns/op and allocs/op against
-// the baseline at path, and renders a report. It returns an error listing
-// every workload whose ns/op regressed by more than tolerance (fractional,
-// e.g. 0.15 = +15%), or whose allocs/op regressed per allocRegressed —
+// compareBench measures every workload in compareRounds interleaved
+// rounds, diffs each one's median run (ns/op and allocs/op) against the
+// baseline at path, and renders a report with each row's ns/op spread.
+// It returns an error listing every workload whose median ns/op regressed
+// by more than tolerance (fractional, e.g. 0.15 = +15%), or whose
+// allocs/op regressed per allocRegressed —
 // allocation count is deterministic enough to gate tightly, and a
 // regression there is usually a lost pooling or escape-analysis
 // optimisation that ns/op noise can mask. Baseline entries with no
@@ -479,7 +548,7 @@ func compareBench(baselinePath, reportPath string, tolerance float64, seed uint6
 	if err != nil {
 		return err
 	}
-	current, err := measureAll(seed)
+	runs, err := measureRounds(seed, compareRounds)
 	if err != nil {
 		return err
 	}
@@ -489,15 +558,18 @@ func compareBench(baselinePath, reportPath string, tolerance float64, seed uint6
 	}
 
 	var report strings.Builder
-	fmt.Fprintf(&report, "benchmark comparison vs %s (gate: >%+.0f%% ns/op or allocs/op)\n\n", baselinePath, tolerance*100)
-	fmt.Fprintf(&report, "%-40s %14s %14s %9s %12s %12s %9s\n",
-		"workload", "baseline ns/op", "current ns/op", "delta", "clusters/s", "allocs/op", "Δallocs")
+	fmt.Fprintf(&report, "benchmark comparison vs %s (gate: median of %d interleaved runs >%+.0f%% ns/op, or allocs/op)\n\n",
+		baselinePath, compareRounds, tolerance*100)
+	fmt.Fprintf(&report, "%-40s %14s %14s %9s %12s %12s %9s  %s\n",
+		"workload", "baseline ns/op", "median ns/op", "delta", "clusters/s", "allocs/op", "Δallocs", "min–max ns/op")
 	var regressions []string
-	for _, c := range current {
+	for _, r := range runs {
+		c, minNs, maxNs := medianRun(r)
+		spread := fmt.Sprintf("%d–%d", minNs, maxNs)
 		b, ok := base[c.Name]
 		if !ok {
-			fmt.Fprintf(&report, "%-40s %14s %14d %9s %12.0f %12d %9s  (new workload, not gated)\n",
-				c.Name, "-", c.NsPerOp, "-", c.ClustersPerSec, c.AllocsPerOp, "-")
+			fmt.Fprintf(&report, "%-40s %14s %14d %9s %12.0f %12d %9s  %s  (new workload, not gated)\n",
+				c.Name, "-", c.NsPerOp, "-", c.ClustersPerSec, c.AllocsPerOp, "-", spread)
 			continue
 		}
 		delta := float64(c.NsPerOp-b.NsPerOp) / float64(b.NsPerOp)
@@ -521,8 +593,8 @@ func compareBench(baselinePath, reportPath string, tolerance float64, seed uint6
 			regressions = append(regressions,
 				fmt.Sprintf("%s: %d -> %d allocs/op (%s)", c.Name, b.AllocsPerOp, c.AllocsPerOp, strings.TrimSpace(allocCol)))
 		}
-		fmt.Fprintf(&report, "%-40s %14d %14d %+8.1f%% %12.0f %12d %s%s\n",
-			c.Name, b.NsPerOp, c.NsPerOp, delta*100, c.ClustersPerSec, c.AllocsPerOp, allocCol, verdict)
+		fmt.Fprintf(&report, "%-40s %14d %14d %+8.1f%% %12.0f %12d %s  %s%s\n",
+			c.Name, b.NsPerOp, c.NsPerOp, delta*100, c.ClustersPerSec, c.AllocsPerOp, allocCol, spread, verdict)
 		delete(base, c.Name)
 	}
 	for name := range base {

@@ -76,14 +76,16 @@ func TestAllocRegressedPositiveBaseline(t *testing.T) {
 
 // TestAlignWorkloadShapes pins the alignment rows of BENCH_sim.json to the
 // traffic they stand for: the noisy pair is a few edits apart, as reads
-// are from their reference, and the unrelated pair is more than half a
-// strand apart.
+// are from their reference, the unrelated pair is more than half a
+// strand apart, and the prefix pair shares its primer but ends over the
+// clustering threshold, as a store get's rejected pairs do.
 func TestAlignWorkloadShapes(t *testing.T) {
 	names := map[string]bool{}
 	for _, w := range benchWorkloads() {
 		names[w.name] = true
 	}
-	for _, want := range []string{"align.script/noisy110", "align.script/unrelated110", "align.distance_at_most/noisy110"} {
+	for _, want := range []string{"align.script/noisy110", "align.script/unrelated110", "align.distance_at_most/noisy110",
+		"align.distance_at_most/prefix132"} {
 		if !names[want] {
 			t.Errorf("workload %s missing", want)
 		}
@@ -95,6 +97,13 @@ func TestAlignWorkloadShapes(t *testing.T) {
 	refs := channel.RandomReferences(2, 110, 1)
 	if d := align.Distance(string(refs[0]), string(refs[1])); 2*d+1 < 111 {
 		t.Errorf("unrelated pair distance %d: not the far end of the range", d)
+	}
+	ref, read = prefixBenchPair()
+	if len(ref) != storeBenchRefLen || align.Distance(ref[:20], read[:20]) > 2 {
+		t.Errorf("prefix pair %q, %q: want a %d-nt strand and a read of its 20-nt primer", ref, read, storeBenchRefLen)
+	}
+	if _, ok := align.DistanceAtMost(ref, read, len(ref)/4); ok {
+		t.Errorf("prefix pair distance %d is within the threshold %d; want a reject", align.Distance(ref, read), len(ref)/4)
 	}
 }
 
@@ -137,5 +146,45 @@ func TestLayerWorkloadShapes(t *testing.T) {
 	rd := reconBenchDataset(1)
 	if rd.NumClusters() != reconBenchClusters || rd.NumReads() != 6*reconBenchClusters {
 		t.Errorf("recon dataset: %d clusters, %d reads; want %d at 6x", rd.NumClusters(), rd.NumReads(), reconBenchClusters)
+	}
+}
+
+// TestMedianRun pins the rule -compare gates on: each row's median of
+// compareRounds runs, so that one or two runs landing on a busy stretch
+// neither fail the gate nor hide a real regression that three of five
+// runs show, while the spread still reports them.
+func TestMedianRun(t *testing.T) {
+	runs := func(ns ...int64) []benchResult {
+		out := make([]benchResult, len(ns))
+		for i, n := range ns {
+			out[i] = benchResult{Name: "row", NsPerOp: n, AllocsPerOp: n / 100}
+		}
+		return out
+	}
+	cases := []struct {
+		ns                   []int64
+		median, minNs, maxNs int64
+	}{
+		{[]int64{1000, 1010, 990, 1005, 995}, 1000, 990, 1010},
+		{[]int64{1000, 1900, 1010, 990, 1700}, 1010, 990, 1900}, // two busy runs: median unmoved
+		{[]int64{1000, 1900, 1800, 990, 1700}, 1700, 990, 1900}, // three slow runs: a real regression
+		{[]int64{1200, 1000}, 1000, 1000, 1200},                 // even count: the lower middle
+		{[]int64{1000}, 1000, 1000, 1000},
+	}
+	for _, c := range cases {
+		in := runs(c.ns...)
+		med, lo, hi := medianRun(in)
+		if med.NsPerOp != c.median || lo != c.minNs || hi != c.maxNs {
+			t.Errorf("medianRun(%v) = %d, %d–%d; want %d, %d–%d", c.ns, med.NsPerOp, lo, hi, c.median, c.minNs, c.maxNs)
+		}
+		if med.AllocsPerOp != c.median/100 {
+			t.Errorf("medianRun(%v) allocs/op %d: not the median run's own", c.ns, med.AllocsPerOp)
+		}
+		if in[0].NsPerOp != c.ns[0] {
+			t.Errorf("medianRun reordered its input")
+		}
+	}
+	if compareRounds < 5 {
+		t.Errorf("compareRounds = %d; the gate needs at least 5 runs for a median to absorb two busy ones", compareRounds)
 	}
 }

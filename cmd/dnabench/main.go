@@ -12,7 +12,8 @@
 //	dnabench -csv out/       # also write CSV files
 //	dnabench -json BENCH_sim.json   # benchmark the simulate/align hot paths, write JSON
 //	dnabench -compare BENCH_sim.json -compare-report BENCH_compare.txt
-//	                         # re-measure and fail on >15% ns/op regression
+//	                         # re-measure in 5 interleaved rounds and fail
+//	                         # when a row's median is >15% slower in ns/op
 package main
 
 import (
