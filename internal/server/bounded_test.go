@@ -4,9 +4,13 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"dnastore/internal/rng"
+	"dnastore/internal/store"
 )
 
 // oversizedSpecs each pass every check but the cost bound: the largest
@@ -69,5 +73,64 @@ func TestOversizedSpecsShedTooLarge(t *testing.T) {
 	waitFor(t, 10*time.Second, func() bool { return j.State().Terminal() })
 	if got := j.Snapshot(); got.State != StateDone {
 		t.Errorf("small job settled %s: %s", got.State, got.Error)
+	}
+}
+
+// TestRetrieveReadOutOverBudgetFailsTooLarge is the regression test for
+// the unbounded retrieve read-out: admission bounds only a retrieve
+// spec's coverage, because the pool's size is known only once its file
+// is read, so a large pool read at the top coverage, with retries that
+// escalate it, used to be simulated in full. The attempt must instead
+// fail at once, once the pool is loaded, with an error wrapping
+// ErrTooLarge and no requeue. The job deadline bounds the test's own cost
+// should the read-out start anyway.
+func TestRetrieveReadOutOverBudgetFailsTooLarge(t *testing.T) {
+	poolPath := filepath.Join(t.TempDir(), "pool.dnas")
+	pool := store.New(store.Options{Seed: 9})
+	r := rng.New(9)
+	payload := make([]byte, 24<<10)
+	for i := range payload {
+		payload[i] = byte(r.Uint64())
+	}
+	if err := pool.Store("big", payload); err != nil {
+		t.Fatal(err)
+	}
+	bases := 0
+	for _, s := range pool.DesignedStrands() {
+		bases += s.Len()
+	}
+	// Coverage 1000 passes admission, and eight retries doubling it reach
+	// the policy's 8x cap before jitter.
+	if float64(bases)*maxCoverage*8 <= maxOutputBases {
+		t.Fatalf("fixture: %d designed bases read at %dx and escalated 8x fit the %d-base budget", bases, maxCoverage, maxOutputBases)
+	}
+	if err := pool.SaveFile(poolPath); err != nil {
+		t.Fatal(err)
+	}
+
+	s := testServer(t, Config{Workers: 1, MaxAttempts: 3})
+	spec := JobSpec{Kind: KindRetrieve, TimeoutMS: 500, Retrieve: &RetrieveSpec{
+		PoolPath: poolPath, Key: "big", ErrorRate: 0.01, Coverage: maxCoverage, Seed: 1, Retries: 8, Backoff: 2,
+	}}
+	start := time.Now()
+	j, err := s.Submit(spec)
+	if err != nil {
+		t.Fatalf("submit: %v (admission cannot see the pool's size)", err)
+	}
+	st := awaitTerminal(t, j, 30*time.Second)
+	if st.State != StateFailed || !strings.Contains(st.Error, ErrTooLarge.Error()) {
+		t.Fatalf("oversized read-out settled %s after %v: %q; want failed with %q", st.State, time.Since(start), st.Error, ErrTooLarge)
+	}
+	if st.Attempts != 1 {
+		t.Errorf("oversized read-out ran %d attempts, want 1: a cost bound is not transient", st.Attempts)
+	}
+	if got := s.Registry().Snapshot()["dnasimd_job_requeues_total"]; got != 0 {
+		t.Errorf("requeues = %v, want 0", got)
+	}
+
+	// The same pool read at a modest coverage stays inside the budget.
+	spec.Retrieve.Coverage, spec.Retrieve.Retries, spec.TimeoutMS = 14, 0, 0
+	if err := checkRetrieveCost(pool, spec.Retrieve); err != nil {
+		t.Errorf("14x single-attempt read-out of %d bases refused: %v", bases, err)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"dnastore/internal/channel"
 	"dnastore/internal/dist"
 	"dnastore/internal/dna"
+	"dnastore/internal/store"
 )
 
 // JobKind selects the workload a job runs.
@@ -301,7 +302,8 @@ func (sp *RetrieveSpec) Validate() error {
 		sp.Coverage = 14
 	}
 	// The pool's size is known only once its file is read, so only the
-	// coverage is bounded here.
+	// coverage is bounded here; checkRetrieveCost bounds the read-out
+	// once the pool is loaded.
 	if err := checkCost(sp.Coverage, 0); err != nil {
 		return err
 	}
@@ -312,6 +314,22 @@ func (sp *RetrieveSpec) Validate() error {
 		return err
 	}
 	return nil
+}
+
+// retryPolicy is the adaptive read path's policy for this spec.
+func (sp *RetrieveSpec) retryPolicy() store.RetryPolicy {
+	return store.RetryPolicy{MaxAttempts: sp.Retries + 1, Backoff: sp.Backoff}
+}
+
+// checkRetrieveCost holds a retrieval's read-out to maxOutputBases: the
+// pool's designed bases times the coverage, at the largest scale the
+// retry policy can escalate it to.
+func checkRetrieveCost(pool *store.Pool, sp *RetrieveSpec) error {
+	bases := 0
+	for _, s := range pool.DesignedStrands() {
+		bases += s.Len()
+	}
+	return checkCost(sp.Coverage, float64(bases)*sp.Coverage*sp.retryPolicy().PeakScale())
 }
 
 // JobSpec is the submission payload: one kind plus its parameters and an

@@ -176,8 +176,10 @@ func (s *Server) settle(j *Job, ctx context.Context, out jobOutcome, abandoned b
 		s.retryOrFail(j, fmt.Errorf("stalled: %w", cause))
 		return
 
-	case errors.Is(out.err, ErrBreakerOpen):
-		// The I/O dependency is known-bad; failing fast is the point.
+	case errors.Is(out.err, ErrBreakerOpen) || errors.Is(out.err, ErrTooLarge):
+		// The I/O dependency is known-bad, or the job is over a cost bound
+		// seen only at run time (a retrieve's read-out) that every attempt
+		// would meet again; failing fast is the point.
 		s.Finish(j, StateFailed, nil, out.err)
 		return
 
@@ -341,6 +343,9 @@ func (s *Server) executeRetrieve(ctx context.Context, j *Job) jobOutcome {
 	if err != nil {
 		return jobOutcome{err: fmt.Errorf("load pool: %w", err)}
 	}
+	if err := checkRetrieveCost(pool, spec); err != nil {
+		return jobOutcome{err: err}
+	}
 	extra, err := channel.ParseStages(spec.Faults)
 	if err != nil {
 		return jobOutcome{err: err}
@@ -349,8 +354,7 @@ func (s *Server) executeRetrieve(ctx context.Context, j *Job) jobOutcome {
 		m := channel.NewNaive("sequencer", channel.NanoporeMix(spec.ErrorRate))
 		return channel.Compose(m, channel.NegBinCoverage{Mean: spec.Coverage * scale, Dispersion: 6}, extra)
 	}
-	pol := store.RetryPolicy{MaxAttempts: spec.Retries + 1, Backoff: spec.Backoff}
-	data, _, _, err := pool.RetrieveAdaptive(ctx, spec.Key, factory, pol, spec.Seed)
+	data, _, _, err := pool.RetrieveAdaptive(ctx, spec.Key, factory, spec.retryPolicy(), spec.Seed)
 	if err != nil {
 		return jobOutcome{err: err}
 	}

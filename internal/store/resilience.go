@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"dnastore/internal/channel"
 	"dnastore/internal/dna"
@@ -123,6 +124,41 @@ type RetryPolicy struct {
 	OnAttempt func(attempt int, rep RetrieveReport, err error)
 }
 
+// withDefaults returns the policy with every unset or out-of-range field
+// at the value RetrieveAdaptive runs it with.
+func (pol RetryPolicy) withDefaults() RetryPolicy {
+	if pol.MaxAttempts <= 0 {
+		pol.MaxAttempts = 3
+	}
+	if pol.Backoff <= 1 {
+		pol.Backoff = 2
+	}
+	if pol.MaxScale <= 0 {
+		pol.MaxScale = 8
+	}
+	switch {
+	case pol.Jitter < 0:
+		pol.Jitter = 0
+	case pol.Jitter == 0:
+		pol.Jitter = 0.1
+	case pol.Jitter > 0.5:
+		pol.Jitter = 0.5
+	}
+	return pol
+}
+
+// PeakScale returns the largest coverage scale RetrieveAdaptive can pass
+// its SequencerFactory under this policy: the backoff compounded over
+// every retry, capped at MaxScale, then jittered up. It bounds what a
+// retrieval's read-out can cost before it starts.
+func (pol RetryPolicy) PeakScale() float64 {
+	pol = pol.withDefaults()
+	if pol.MaxAttempts == 1 {
+		return 1
+	}
+	return min(math.Pow(pol.Backoff, float64(pol.MaxAttempts-1)), pol.MaxScale) * (1 + pol.Jitter)
+}
+
 // RetrieveAdaptive runs the resilient read path end to end: sequence the
 // pool, decode the object, and on failure retry with escalated coverage
 // and a fresh derived seed — a cluster dropped by a stochastic fault in
@@ -132,27 +168,8 @@ type RetryPolicy struct {
 // report and the attempts used; on exhaustion (or cancellation) the error
 // is a *PartialRecoveryError carrying the last report.
 func (p *Pool) RetrieveAdaptive(ctx context.Context, key string, factory SequencerFactory, pol RetryPolicy, seed uint64) ([]byte, RetrieveReport, int, error) {
-	maxAttempts := pol.MaxAttempts
-	if maxAttempts <= 0 {
-		maxAttempts = 3
-	}
-	backoff := pol.Backoff
-	if backoff <= 1 {
-		backoff = 2
-	}
-	maxScale := pol.MaxScale
-	if maxScale <= 0 {
-		maxScale = 8
-	}
-	jitter := pol.Jitter
-	switch {
-	case jitter < 0:
-		jitter = 0
-	case jitter == 0:
-		jitter = 0.1
-	case jitter > 0.5:
-		jitter = 0.5
-	}
+	pol = pol.withDefaults()
+	maxAttempts, backoff, maxScale, jitter := pol.MaxAttempts, pol.Backoff, pol.MaxScale, pol.Jitter
 	// An unknown key is not retryable: fail before sequencing anything.
 	if _, ok := p.keys[key]; !ok {
 		return nil, RetrieveReport{Key: key}, 0, fmt.Errorf("store: unknown key %q", key)

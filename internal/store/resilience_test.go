@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -373,5 +374,34 @@ func TestRetrieveAdaptiveBackoffCapAndJitter(t *testing.T) {
 	}
 	if same {
 		t.Error("different seeds produced identical jitter")
+	}
+}
+
+// TestRetryPolicyPeakScale checks the bound the job server holds a
+// retrieval's read-out to: no attempt's scale exceeds PeakScale, which is
+// reached exactly when the jitter is off.
+func TestRetryPolicyPeakScale(t *testing.T) {
+	p, _ := resiliencePool(t)
+	for _, pol := range []RetryPolicy{
+		{MaxAttempts: 1},
+		{MaxAttempts: 5, Backoff: 2, MaxScale: 4, Jitter: -1},
+		{MaxAttempts: 3, Jitter: -1},
+		{MaxAttempts: 4, Backoff: 1.5, Jitter: 0.25},
+		{MaxAttempts: 9, Backoff: 3},
+	} {
+		var scales []float64
+		factory := func(attempt int, scale float64) (channel.Channel, channel.CoverageModel) {
+			scales = append(scales, scale)
+			return faulted(channel.FixedCoverage(4), channel.ZeroCoverage{Start: 0, Len: 8})
+		}
+		p.RetrieveAdaptive(context.Background(), "doc", factory, pol, 3)
+		peak := pol.PeakScale()
+		top := slices.Max(scales)
+		if top > peak || pol.Jitter < 0 && top != peak {
+			t.Errorf("%+v: scales %v, PeakScale %v", pol, scales, peak)
+		}
+	}
+	if got := (RetryPolicy{}).PeakScale(); got != 4*1.1 {
+		t.Errorf("default policy PeakScale = %v, want 4.4 (3 attempts, backoff 2, jitter 0.1)", got)
 	}
 }
