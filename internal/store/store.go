@@ -100,7 +100,7 @@ func (p *Pool) newPrimer() (dna.Strand, error) {
 		ok := true
 		minDist := 2*p.opts.PrimerMismatch + 2 // amplification windows must not overlap
 		for _, existing := range p.primers {
-			if d, within := distAtMost(existing, cand, minDist-1); within && d < minDist {
+			if align.Similar(string(existing), string(cand), minDist-1) {
 				ok = false
 				break
 			}
@@ -216,10 +216,4 @@ func (p *Pool) SequenceCtx(ctx context.Context, ch channel.Channel, cov channel.
 		return nil, err
 	}
 	return ds.AllReads(rng.New(seed + 1)), err
-}
-
-// distAtMost reports the edit distance between two strands when it is at
-// most k.
-func distAtMost(a, b dna.Strand, k int) (int, bool) {
-	return align.DistanceAtMost(string(a), string(b), k)
 }
